@@ -14,9 +14,26 @@ through neighbor pairs until a fixed point:
 
 All iterative updates are double-buffered: iteration k+1 reads only the
 frozen iteration-k matrix, so the pair space can be partitioned across
-threads freely.  Results are bit-identical for any ``threads`` value; matrix
-products run block-by-block with a fixed block size so the float summation
-order never depends on the schedule.
+threads freely.
+
+Every matrix product has a 0/1 neighbor operator on one side, so it is
+computed as sums of dense rows over neighbor sets (the partial-sums idea of
+Lizorkin et al., VLDB 2008): O(|E| n) per product instead of O(n^3).  A
+product's bits then depend only on the order in which each element adds
+its nonzero terms, and that order is fixed here, in the index arrays that
+``_spmm`` walks, not by numpy's build or by the thread schedule.  The
+orders reproduce the bits of the dense products of earlier versions, as
+numpy reduced them on its x86-64 baseline; tests/oracles.py keeps those
+products as the reference:
+
+* ``A @ B`` (the first product of each pairwise term, both products of the
+  Jaccard recursion): ascending neighbor id, one accumulator.
+* ``X @ A.T`` (the second product of each pairwise term): two accumulators,
+  for even and odd neighbor ids, in the order :func:`_lanes` gives; their
+  sums are then added.
+* shared-neighbor counts: small integers, exact in any order.
+
+Results are therefore bit-identical for any ``threads`` value.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -129,22 +146,42 @@ class IterationReport:
 
 # -- deterministic linear algebra ------------------------------------------
 
-# Matrix products are evaluated in fixed row blocks via einsum's
-# non-optimized path.  Each output row then has one summation order that
-# depends only on the operand shapes, never on how many workers ran, which
-# is what makes results bit-identical across thread counts.
+# Products run in fixed blocks of _BLOCK_ROWS output rows, the unit of work
+# that --threads spreads over its pool.  Each output element is one sum in
+# the order of _spmm's index arrays, whatever block or worker computes it.
 _BLOCK_ROWS = 64
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
-    n = a.shape[0]
-    if n <= _BLOCK_ROWS:
-        return np.einsum("ij,jk->ik", a, b, optimize=False)
+def _spmm(lanes, b: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Row p of the result: the rows of ``b`` that row p of the operator
+    names, summed.
+
+    The operator is given as a tuple of lanes, each CSR ``(indptr,
+    indices)`` over the same rows.  A lane's sum starts at 0.0 and adds b's
+    rows in the order of its index array; the lane sums are then added,
+    first to last.
+    """
+    n = lanes[0][0].shape[0] - 1
     out = np.empty((n, b.shape[1]))
 
     def block(r0: int):
         r1 = min(r0 + _BLOCK_ROWS, n)
-        np.einsum("ij,jk->ik", a[r0:r1], b, out=out[r0:r1], optimize=False)
+        dest = out[r0:r1]
+        acc = np.empty_like(dest)
+        for lane, (indptr, indices) in enumerate(lanes):
+            # rows by descending neighbor count, so that the rows with more
+            # than t neighbors are a prefix of acc
+            order = np.argsort(indptr[r0:r1] - indptr[r0 + 1:r1 + 1], kind="stable")
+            starts = indptr[r0:r1][order]
+            counts = indptr[r0 + 1:r1 + 1][order] - starts
+            acc.fill(0.0)
+            for t in range(counts.max(initial=0)):
+                m = np.count_nonzero(counts > t)
+                acc[:m] += b[indices[starts[:m] + t]]
+            if lane:
+                dest[order] += acc
+            else:
+                dest[order] = acc
 
     starts = range(0, n, _BLOCK_ROWS)
     if threads <= 1:
@@ -156,12 +193,53 @@ def _matmul(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
     return out
 
 
+def _lanes(op) -> tuple:
+    """Split a square operator A into the two lanes that sum ``X @ A.T``.
+
+    Element (i, k) of X @ A.T sums X[i, j] over j in row k of A.  Lane 0
+    takes the even j, lane 1 the odd j.  Each lane adds the blocks of 8
+    consecutive ids in ascending order, the ids within a block in
+    descending order, and the last n % 8 ids in ascending order.  That is
+    how numpy's dot-product loop on its x86-64 baseline (2 float64 lanes,
+    4 vectors unrolled) reduced the contiguous j axis of the dense products.
+    """
+    indptr, indices = op
+    n = indptr.shape[0] - 1
+    full = n - n % 8
+    key = np.where(indices < full, indices + 7 - 2 * (indices % 8), indices)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    lanes = []
+    for parity in (0, 1):
+        sel = indices % 2 == parity
+        lane_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows[sel], minlength=n), out=lane_ptr[1:])
+        lanes.append((lane_ptr, indices[sel][np.lexsort((key[sel], rows[sel]))]))
+    return tuple(lanes)
+
+
+def _shared_counts(op, threads: int) -> np.ndarray:
+    """|row p & row q| for every pair of op's rows.
+
+    The sums are small integers, so they are exact in any order.
+    """
+    indptr, indices = op
+    n = indptr.shape[0] - 1
+    at = np.zeros((n, n))  # transpose of op's 0/1 matrix A, so this is A @ A.T
+    at[indices, np.repeat(np.arange(n), np.diff(indptr))] = 1.0
+    return _spmm((op,), at, threads)
+
+
+def _degrees(op) -> np.ndarray:
+    return np.diff(op[0]).astype(float)
+
+
 def _mirror(a: np.ndarray) -> np.ndarray:
     # One canonical float per unordered pair: the upper-triangle value wins.
     # The two float expressions for (p,q) and (q,p) agree only to rounding,
-    # and the storage contract is exact symmetry.
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    # and the storage contract is exact symmetry.  Works in place.
+    for p in range(1, a.shape[0]):
+        a[p, :p] = a[:p, p]
+    return a
 
 
 def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
@@ -173,15 +251,11 @@ def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
 
 
 def _shared_neighbor_scores(g, view: str, normalization: str, threads: int):
-    E = g.adjacency()
-    A = E.T if view == "in" else E  # row p holds the indicator of the view set
-    counts = _matmul(np.ascontiguousarray(A), A.T, threads)
-    if normalization == "raw_count":
-        scores = counts
-    else:
-        deg = A.sum(axis=1)
-        union = deg[:, None] + deg[None, :] - counts
-        scores = counts * _guarded_inverse(union)
+    op = g.csr(view)
+    scores = _shared_counts(op, threads)
+    if normalization != "raw_count":
+        deg = _degrees(op)
+        scores *= _guarded_inverse(deg[:, None] + deg[None, :] - scores)
     np.fill_diagonal(scores, 1.0)
     return _mirror(scores)
 
@@ -255,56 +329,73 @@ def na_mask(g: CitationGraph, cfg: MeasureConfig) -> np.ndarray:
 
 def _make_step(g: CitationGraph, cfg: MeasureConfig, threads: int) -> Callable:
     """Build the double-buffered update: new square scores from frozen old."""
+    n = g.n
     C = cfg.C
     if cfg.measure == "crank" and cfg.normalization == "jaccard":
-        U = g.undirected_adjacency()
-        deg = U.sum(axis=1)
-        inter = _matmul(U, U, threads)  # |L(p) & L(q)|
-        union = deg[:, None] + deg[None, :] - inter
-        inv_union = _guarded_inverse(union)
+        und = g.csr("undirected")
+        deg = _degrees(und)
+        inter = _shared_counts(und, threads)  # |L(p) & L(q)|
+        inv_union = _guarded_inverse(deg[:, None] + deg[None, :] - inter)
         jac = inter * inv_union
         inv_deg = _guarded_inverse(deg)
         w1 = inv_union * inv_deg[None, :]  # 1 / (|L u| * |L(q)|)
         w2 = inv_union * inv_deg[:, None]  # 1 / (|L u| * |L(p)|)
-        comp = 1.0 - U
+        del inter, inv_union
+        nonzeros = (np.repeat(np.arange(n), np.diff(und[0])), und[1])
 
         def step(prev: np.ndarray) -> np.ndarray:
-            # G[x, q] sums prev over q' in L(q); masking G's rows by "x not
-            # in L(q)" before the second product restricts the outer sum to
-            # L(p) \ L(q).  The second cross sum is the transpose of the
-            # first by symmetry of prev, so one product serves both.
-            G = _matmul(prev, U, threads)
-            S1 = _matmul(U, comp * G, threads)
-            T = C * (jac + (w1 * S1 + w2 * S1.T))
-            np.fill_diagonal(T, 1.0)
-            return _mirror(T)
+            # G = prev @ U sums prev over q' in L(q); prev is exactly
+            # symmetric, so U @ prev is G's transpose.  Zeroing it at U's
+            # nonzeros (the same positions in G, as U is symmetric), where
+            # x is in L(q), restricts the second product's outer sum to
+            # L(p) \ L(q).  The second cross
+            # sum is the transpose of the first by symmetry of prev, so
+            # one product serves both.
+            gt = _spmm((und,), prev, threads)
+            gt[nonzeros] = 0.0
+            s1 = _spmm((und,), gt.T.copy(), threads)
+            # C * (jac + (w1 * S1 + w2 * S1.T)), rounded in that order
+            cross = np.multiply(w2, s1.T, out=gt)
+            s1 *= w1
+            s1 += cross
+            s1 += jac
+            s1 *= C
+            np.fill_diagonal(s1, 1.0)
+            return _mirror(s1)
 
         return step
 
     if cfg.measure == "simrank":
-        terms = [(g.adjacency().T, 1.0)]
+        terms = [("in", 1.0)]
     elif cfg.measure == "rvs_simrank":
-        terms = [(g.adjacency(), 1.0)]
+        terms = [("out", 1.0)]
     elif cfg.measure == "prank":
-        E = g.adjacency()
-        terms = [(E.T, cfg.lam), (E, 1.0 - cfg.lam)]
+        terms = [("in", cfg.lam), ("out", 1.0 - cfg.lam)]
     elif cfg.measure == "crank":
-        terms = [(g.undirected_adjacency(), 1.0)]
+        terms = [("undirected", 1.0)]
     else:
         raise ConfigError(f"{cfg.measure} has no iterative form")
 
     prepared = []
-    for A, w in terms:
-        A = np.ascontiguousarray(A)
-        deg = A.sum(axis=1)
-        inv = _guarded_inverse(np.outer(deg, deg))
-        prepared.append((A, w, inv))
+    for view, w in terms:
+        op = g.csr(view)
+        prepared.append(((op,), _lanes(op), w, _degrees(op)))
 
     def step(prev: np.ndarray) -> np.ndarray:
-        out = np.zeros((g.n, g.n))
-        for A, w, inv in prepared:
-            S = _matmul(_matmul(A, prev, threads), A.T, threads)
-            out += w * (C * S * inv)
+        # S = (A @ prev) @ A.T for the view's 0/1 matrix A; the second
+        # product is computed as its transpose, A @ (A @ prev).T.
+        out = np.zeros((n, n))
+        for ascending, lanes, w, deg in prepared:
+            st = _spmm(lanes, _spmm(ascending, prev, threads).T.copy(), threads)
+            for r0 in range(0, n, _BLOCK_ROWS):
+                r1 = min(r0 + _BLOCK_ROWS, n)
+                # w * (C * S * inv), rounded in that order; the inverse
+                # degree product is symmetric, so it serves S.T as well
+                blk = st[r0:r1]
+                blk *= C
+                blk *= _guarded_inverse(np.outer(deg[r0:r1], deg))
+                blk *= w
+            out += st.T
         np.fill_diagonal(out, 1.0)
         return _mirror(out)
 
@@ -513,10 +604,9 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
         mat, _ = iterate_pairwise(g, cfg, threads)
         return mat.dense_scores()
 
-    E = g.adjacency()
-    A = np.ascontiguousarray(E.T)
-    counts = _matmul(A, A.T, threads)
-    deg = A.sum(axis=1)
+    op = g.csr("in")
+    counts = _shared_counts(op, threads)
+    deg = _degrees(op)
     denom = np.outer(deg, deg)
     pos = denom > 0.0
     ref = np.where(pos, counts / np.where(pos, denom, 1.0), 0.0)

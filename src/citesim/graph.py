@@ -157,22 +157,24 @@ class CitationGraph:
             sinks=sum(1 for s in self.out_index if not s),
         )
 
-    # -- dense views consumed by the engine --------------------------------
+    # -- sparse operators consumed by the engine ---------------------------
 
-    def adjacency(self) -> np.ndarray:
-        """Dense edge indicator E with E[u, v] = 1 iff u cites v."""
-        e = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            e[u, v] = 1.0
-        return e
+    def csr(self, view: str) -> tuple[np.ndarray, np.ndarray]:
+        """The view as CSR rows ``(indptr, indices)``.
 
-    def undirected_adjacency(self) -> np.ndarray:
-        """Symmetric indicator U with U[p, q] = 1 iff q in L(p)."""
-        u = np.zeros((self.n, self.n))
-        for a, b in self.edges:
-            u[a, b] = 1.0
-            u[b, a] = 1.0
-        return u
+        Row p, ``indices[indptr[p]:indptr[p + 1]]``, lists the ids in I(p),
+        O(p) or L(p) in ascending order; mutual citations collapse to one
+        undirected neighbor.
+        """
+        index = {"in": self.in_index, "out": self.out_index,
+                 "undirected": self.und_index}.get(view)
+        if index is None:
+            raise ValueError(f"unknown view {view!r}")
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum([len(s) for s in index], out=indptr[1:])
+        indices = np.fromiter((x for s in index for x in sorted(s)),
+                              dtype=np.intp, count=int(indptr[-1]))
+        return indptr, indices
 
 
 def classify_connector(

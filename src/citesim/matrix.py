@@ -13,6 +13,7 @@ Backing storage is a packed upper-triangular float64 array up to
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ DENSE_NODE_LIMIT = 20_000
 
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
+_ROW_FORMAT = f"%d,%d,{SCORE_FORMAT}\n"
 
 
 class SimilarityMatrix:
@@ -201,6 +203,14 @@ class SimilarityMatrix:
 
     def entries_above(self, threshold: float = 0.0) -> Iterator[tuple[int, int, float]]:
         """Yield (p, q, score) for p <= q, non-N/A, score > threshold."""
+        if self.dense:
+            for p in range(self.n):
+                lo = self._idx(p, p)
+                hi = lo + self.n - p
+                scores = self._scores[lo:hi]
+                keep = np.flatnonzero(~self._na[lo:hi] & (scores > threshold))
+                yield from zip(repeat(p), (keep + p).tolist(), scores[keep].tolist())
+            return
         for p in range(self.n):
             for q in range(p, self.n):
                 if self.is_na(p, q):
@@ -227,8 +237,7 @@ def write_matrix_csv(m: SimilarityMatrix, path, threshold: float = 0.0):
     """Write `p,q,score` rows (p <= q, score > threshold, N/A omitted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,q,score\n")
-        for p, q, s in m.entries_above(threshold):
-            fh.write(f"{p},{q},{SCORE_FORMAT % s}\n")
+        fh.writelines(_ROW_FORMAT % row for row in m.entries_above(threshold))
 
 
 def read_matrix_csv(path) -> list[tuple[int, int, float]]:

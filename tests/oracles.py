@@ -1,11 +1,20 @@
-"""Brute-force reference implementations of every measure.
+"""Reference implementations of every measure.
 
-Deliberately naive: plain dicts, explicit nested loops over neighbor sets,
-one literal transcription of each update rule.  The engine must agree with
-these on small graphs; nothing here shares code with the engine's matrix
-algebra.
+Two kinds, neither sharing code with the engine's matrix algebra:
+
+* brute force: plain dicts, explicit nested loops over neighbor sets, one
+  literal transcription of each update rule.  The engine must agree with
+  these to a tolerance on small graphs.
+* dense einsum: the engine's earlier algebra, dense 0/1 matrices and
+  ``einsum("ij,jk->ik")`` products in fixed row blocks.  The engine's
+  sparse products fix their summation order to reproduce these bits, so
+  the engine must agree with them exactly.
 """
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 
 def _identity(n):
@@ -194,3 +203,127 @@ def max_abs_diff(matrix, oracle):
         got = matrix.get(p, q)
         worst = max(worst, abs(got - want))
     return worst
+
+
+# -- dense einsum reference ---------------------------------------------------
+
+_BLOCK_ROWS = 64
+
+
+def einsum_matmul(a, b, threads=1):
+    """``a @ b`` by einsum's non-optimized path, in fixed row blocks."""
+    n = a.shape[0]
+    if n <= _BLOCK_ROWS:
+        return np.einsum("ij,jk->ik", a, b, optimize=False)
+    out = np.empty((n, b.shape[1]))
+
+    def block(r0):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        np.einsum("ij,jk->ik", a[r0:r1], b, out=out[r0:r1], optimize=False)
+
+    starts = range(0, n, _BLOCK_ROWS)
+    if threads <= 1:
+        for r0 in starts:
+            block(r0)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(block, starts))
+    return out
+
+
+def _adjacency(g):
+    """Dense edge indicator E with E[u, v] = 1 iff u cites v."""
+    e = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        e[u, v] = 1.0
+    return e
+
+
+def _undirected_adjacency(g):
+    e = _adjacency(g)
+    return np.maximum(e, e.T)
+
+
+def _mirror(a):
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def _guarded_inverse(denom):
+    pos = denom > 0.0
+    return np.where(pos, 1.0 / np.where(pos, denom, 1.0), 0.0)
+
+
+def einsum_shared_scores(g, view, normalization, threads=1):
+    """Square scores of the one-shot shared-citer or shared-reference measure."""
+    E = _adjacency(g)
+    A = E.T if view == "in" else E  # row p holds the indicator of the view set
+    counts = einsum_matmul(np.ascontiguousarray(A), A.T, threads)
+    if normalization == "raw_count":
+        scores = counts
+    else:
+        deg = A.sum(axis=1)
+        union = deg[:, None] + deg[None, :] - counts
+        scores = counts * _guarded_inverse(union)
+    np.fill_diagonal(scores, 1.0)
+    return _mirror(scores)
+
+
+def einsum_amsler_scores(g, lam, normalization, threads=1):
+    s_in = einsum_shared_scores(g, "in", normalization, threads)
+    s_out = einsum_shared_scores(g, "out", normalization, threads)
+    scores = lam * s_in + (1.0 - lam) * s_out
+    np.fill_diagonal(scores, 1.0)
+    return _mirror(scores)
+
+
+def einsum_step(g, cfg, threads=1):
+    """The double-buffered update of an iterative measure: new square
+    scores from frozen old."""
+    C = cfg.C
+    if cfg.measure == "crank" and cfg.normalization == "jaccard":
+        U = _undirected_adjacency(g)
+        deg = U.sum(axis=1)
+        inter = einsum_matmul(U, U, threads)
+        union = deg[:, None] + deg[None, :] - inter
+        inv_union = _guarded_inverse(union)
+        jac = inter * inv_union
+        inv_deg = _guarded_inverse(deg)
+        w1 = inv_union * inv_deg[None, :]
+        w2 = inv_union * inv_deg[:, None]
+        comp = 1.0 - U
+
+        def step(prev):
+            G = einsum_matmul(prev, U, threads)
+            S1 = einsum_matmul(U, comp * G, threads)
+            T = C * (jac + (w1 * S1 + w2 * S1.T))
+            np.fill_diagonal(T, 1.0)
+            return _mirror(T)
+
+        return step
+
+    if cfg.measure == "simrank":
+        terms = [(_adjacency(g).T, 1.0)]
+    elif cfg.measure == "rvs_simrank":
+        terms = [(_adjacency(g), 1.0)]
+    elif cfg.measure == "prank":
+        E = _adjacency(g)
+        terms = [(E.T, cfg.lam), (E, 1.0 - cfg.lam)]
+    else:
+        terms = [(_undirected_adjacency(g), 1.0)]
+
+    prepared = []
+    for A, w in terms:
+        A = np.ascontiguousarray(A)
+        deg = A.sum(axis=1)
+        inv = _guarded_inverse(np.outer(deg, deg))
+        prepared.append((A, w, inv))
+
+    def step(prev):
+        out = np.zeros((g.n, g.n))
+        for A, w, inv in prepared:
+            S = einsum_matmul(einsum_matmul(A, prev, threads), A.T, threads)
+            out += w * (C * S * inv)
+        np.fill_diagonal(out, 1.0)
+        return _mirror(out)
+
+    return step

@@ -1,7 +1,9 @@
 """Property-based checks for the iterative similarity engine.
 
 Graphs are drawn small (n <= 9) so the brute-force reference stays cheap;
-the bounds being exercised do not depend on scale.
+the bounds being exercised do not depend on scale.  The bit-for-bit
+comparison with the dense einsum reference draws larger graphs, because
+the summation order it checks changes with n.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from citesim.engine import (
     MeasureConfig,
+    compute,
     crank_jaccard,
     iterate_pairwise,
     iteration_scores,
@@ -26,6 +29,46 @@ def graphs(draw, min_n=2, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * n))
     return CitationGraph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def block_crossing_graphs(draw):
+    """n from 1 to 140, crossing multiples of 8 and the 64-row block, about
+    0-6 references per paper, some citations mutual."""
+    n = draw(st.integers(min_value=1, max_value=140))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    refs = draw(st.floats(min_value=0.0, max_value=6.0))
+    edges = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(int(refs * n), 2))
+             if u != v}
+    mutual = draw(st.floats(min_value=0.0, max_value=0.5))
+    edges |= {(v, u) for u, v in edges if rng.random() < mutual}
+    return CitationGraph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_crossing_graphs(), st.sampled_from([1, 2, 3]))
+def test_engine_matches_einsum_reference_bit_for_bit(g, threads):
+    for cfg in (
+        MeasureConfig("simrank", k_max=3),
+        MeasureConfig("rvs_simrank", k_max=3),
+        MeasureConfig("prank", lam=0.3, k_max=3),
+        MeasureConfig("crank", "pairwise", k_max=3),
+        MeasureConfig("crank", "jaccard", k_max=3),
+    ):
+        step = oracles.einsum_step(g, cfg, threads)
+        want = np.eye(g.n)
+        for k, square in iteration_scores(g, cfg, threads):
+            want = step(want)
+            assert np.array_equal(square, want), (cfg.label(), k)
+    for norm in ("raw_count", "jaccard"):
+        refs = {
+            "cocitation": oracles.einsum_shared_scores(g, "in", norm, threads),
+            "coupling": oracles.einsum_shared_scores(g, "out", norm, threads),
+            "amsler": oracles.einsum_amsler_scores(g, 0.5, norm, threads),
+        }
+        for measure, want in refs.items():
+            matrix, _ = compute(g, MeasureConfig(measure, norm), threads)
+            assert np.array_equal(matrix.dense_scores(), want), (measure, norm)
 
 
 @settings(max_examples=40, deadline=None)

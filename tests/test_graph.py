@@ -62,6 +62,19 @@ def test_mutual_citations_collapse_in_undirected_view():
     assert g.neighbors(g.id_of("A"), "undirected") == {g.id_of("B")}
 
 
+def test_csr_rows_are_the_sorted_neighbor_views(shared_graph):
+    mutual, _ = load_graph([("A", "B"), ("B", "A"), ("A", "C")])
+    for g in (shared_graph, mutual):
+        for view in ("in", "out", "undirected"):
+            indptr, indices = g.csr(view)
+            assert len(indptr) == g.n + 1
+            for p in range(g.n):
+                row = indices[indptr[p]:indptr[p + 1]].tolist()
+                assert row == sorted(g.neighbors(p, view))
+    with pytest.raises(ValueError):
+        shared_graph.csr("sideways")
+
+
 def test_stats_on_fixtures(shared_graph):
     s = shared_graph.stats()
     assert s.edge_count == 9
