@@ -18,13 +18,17 @@ threads freely.
 
 Every matrix product has a 0/1 neighbor operator on one side, so it is
 computed as sums of dense rows over neighbor sets (the partial-sums idea of
-Lizorkin et al., VLDB 2008): O(|E| n) per product instead of O(n^3).  A
-product's bits then depend only on the order in which each element adds
-its nonzero terms, and that order is fixed here, in the index arrays that
-``_spmm`` walks, not by numpy's build or by the thread schedule.  The
-orders reproduce the bits of the dense products of earlier versions, as
-numpy reduced them on its x86-64 baseline; tests/oracles.py keeps those
-products as the reference:
+Lizorkin et al., VLDB 2008): O(|E| n) per product instead of O(n^3).  The
+structure is paid for once: each operator's gather plan (:func:`_plan`:
+per block of rows, the rows by neighbor count and one gather index per
+neighbor slot) is built when a run starts, and every product of every
+iteration only gathers rows and adds them.
+
+A product's bits depend only on the order in which each element adds its
+nonzero terms, and that order is fixed here, in the gather plans, not by
+numpy's build or by the thread schedule.  The orders reproduce the bits of
+the dense products of earlier versions, as numpy reduced them on its
+x86-64 baseline; tests/oracles.py keeps those products as the reference:
 
 * ``A @ B`` (the first product of each pairwise term, both products of the
   Jaccard recursion): ascending neighbor id, one accumulator.
@@ -33,7 +37,19 @@ products as the reference:
   sums are then added.
 * shared-neighbor counts: small integers, exact in any order.
 
-Results are therefore bit-identical for any ``threads`` value.
+The pairwise recursions keep one float per unordered pair, S[p, q] for
+p < q, and :func:`_mirror` discards the other triangle.  So their second
+product is summed, scaled and added up over the lower triangle of S.T only
+(for rows r0:r1, columns :r1): each kept element is the same sum as over
+the full square, at about half the work.
+
+A run (one ``iteration_scores`` generator, or one call of a one-shot
+measure) opens at most one thread pool and shuts it down when it ends.
+With ``threads > 1`` the calling thread and ``threads - 1`` workers take
+row blocks from a shared queue.  Results are bit-identical for any
+``threads`` value.  The blocks are many short numpy calls that hold the
+interpreter lock for most of their time, so at n=600 on a shared 2-core
+x86-64 host two threads run a step no faster than one.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -41,8 +57,10 @@ recursion scores every pair: an empty union just yields 0.
 """
 from __future__ import annotations
 
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -147,49 +165,108 @@ class IterationReport:
 # -- deterministic linear algebra ------------------------------------------
 
 # Products run in fixed blocks of _BLOCK_ROWS output rows, the unit of work
-# that --threads spreads over its pool.  Each output element is one sum in
-# the order of _spmm's index arrays, whatever block or worker computes it.
+# that --threads shares out.  Each output element is one sum in the order of
+# its plan's gather indices, whatever block or thread computes it, so the
+# block size changes no bit.  Blocks of 300 or 600 rows were 2-3x slower per
+# product at n=600, as a block's accumulator and gathers outgrow the cache.
 _BLOCK_ROWS = 64
 
 
-def _spmm(lanes, b: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Row p of the result: the rows of ``b`` that row p of the operator
-    names, summed.
+def _plan(lanes) -> list:
+    """Gather plan of an operator, built once and reused by every product.
 
     The operator is given as a tuple of lanes, each CSR ``(indptr,
-    indices)`` over the same rows.  A lane's sum starts at 0.0 and adds b's
-    rows in the order of its index array; the lane sums are then added,
-    first to last.
+    indices)`` over the same rows.  The plan is a list of blocks ``(r0, r1,
+    steps)`` of _BLOCK_ROWS rows; per lane, ``steps`` holds the block's rows
+    by descending neighbor count (so that the rows with more than t
+    neighbors are a prefix) and, for each neighbor slot t, the ids those
+    rows name in that slot.
     """
     n = lanes[0][0].shape[0] - 1
-    out = np.empty((n, b.shape[1]))
-
-    def block(r0: int):
+    blocks = []
+    for r0 in range(0, n, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n)
-        dest = out[r0:r1]
-        acc = np.empty_like(dest)
-        for lane, (indptr, indices) in enumerate(lanes):
-            # rows by descending neighbor count, so that the rows with more
-            # than t neighbors are a prefix of acc
+        steps = []
+        for indptr, indices in lanes:
             order = np.argsort(indptr[r0:r1] - indptr[r0 + 1:r1 + 1], kind="stable")
             starts = indptr[r0:r1][order]
             counts = indptr[r0 + 1:r1 + 1][order] - starts
-            acc.fill(0.0)
-            for t in range(counts.max(initial=0)):
-                m = np.count_nonzero(counts > t)
-                acc[:m] += b[indices[starts[:m] + t]]
-            if lane:
-                dest[order] += acc
-            else:
-                dest[order] = acc
+            gathers = [indices[starts[:np.count_nonzero(counts > t)] + t]
+                       for t in range(counts.max(initial=0))]
+            steps.append((order, gathers))
+        blocks.append((r0, r1, steps))
+    return blocks
 
-    starts = range(0, n, _BLOCK_ROWS)
+
+def _block_sums(steps, src: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """Row i of ``dest``: the rows of ``src`` that row i of one plan block
+    names, summed.
+
+    A lane's sum starts at 0.0 and adds src's rows in the order of its
+    gathers; the lane sums are then added, first to last.
+    """
+    acc = np.empty(dest.shape)
+    for lane, (order, gathers) in enumerate(steps):
+        acc.fill(0.0)
+        for idx in gathers:
+            rows = acc[:idx.shape[0]]
+            np.add(rows, src[idx], rows)
+        if lane:
+            dest[order] += acc
+        else:
+            dest[order] = acc
+    return dest
+
+
+def _serial(fn, plan, *args):
+    for job in plan:
+        fn(*job, *args)
+
+
+@contextmanager
+def _block_pool(threads: int):
+    """Yield ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1, steps,
+    *args)`` for every block of ``plan`` and returns when all are done.
+
+    One run opens one of these and passes it down to all its products.
+    With ``threads > 1``, the calling thread and ``threads - 1`` workers of
+    one executor take blocks from a shared queue: a worker that wakes late
+    takes fewer blocks instead of holding the product up.  The executor is
+    shut down when the ``with`` block ends.
+    """
     if threads <= 1:
-        for r0 in starts:
-            block(r0)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block, starts))
+        yield _serial
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+
+        def each_block(fn, plan, *args):
+            jobs = queue.SimpleQueue()
+            for job in plan:
+                jobs.put(job)
+
+            def drain():
+                while True:
+                    try:
+                        job = jobs.get_nowait()
+                    except queue.Empty:
+                        return
+                    fn(*job, *args)
+
+            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            drain()
+            for helper in helpers:
+                # a helper that has not started would find the queue empty
+                if not helper.cancel():
+                    helper.result()
+
+        yield each_block
+
+
+def _spmm(plan, b: np.ndarray, out: np.ndarray, each_block) -> np.ndarray:
+    """Row p of ``out``: the rows of ``b`` that row p of the operator
+    names, summed.  ``out`` may be a transposed view, which writes the
+    product's transpose."""
+    each_block(lambda r0, r1, steps: _block_sums(steps, b, out[r0:r1]), plan)
     return out
 
 
@@ -217,7 +294,7 @@ def _lanes(op) -> tuple:
     return tuple(lanes)
 
 
-def _shared_counts(op, threads: int) -> np.ndarray:
+def _shared_counts(op, each_block) -> np.ndarray:
     """|row p & row q| for every pair of op's rows.
 
     The sums are small integers, so they are exact in any order.
@@ -226,7 +303,7 @@ def _shared_counts(op, threads: int) -> np.ndarray:
     n = indptr.shape[0] - 1
     at = np.zeros((n, n))  # transpose of op's 0/1 matrix A, so this is A @ A.T
     at[indices, np.repeat(np.arange(n), np.diff(indptr))] = 1.0
-    return _spmm((op,), at, threads)
+    return _spmm(_plan((op,)), at, np.empty((n, n)), each_block)
 
 
 def _degrees(op) -> np.ndarray:
@@ -234,25 +311,25 @@ def _degrees(op) -> np.ndarray:
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:
-    # One canonical float per unordered pair: the upper-triangle value wins.
-    # The two float expressions for (p,q) and (q,p) agree only to rounding,
-    # and the storage contract is exact symmetry.  Works in place.
+    # One canonical float per unordered pair: the upper-triangle value wins
+    # (pass a.T to let the lower one win).  The two float expressions for
+    # (p,q) and (q,p) agree only to rounding, and the storage contract is
+    # exact symmetry.  Works in place.
     for p in range(1, a.shape[0]):
         a[p, :p] = a[:p, p]
     return a
 
 
 def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
-    pos = denom > 0.0
-    return np.where(pos, 1.0 / np.where(pos, denom, 1.0), 0.0)
+    return np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 # -- non-iterative measures -------------------------------------------------
 
 
-def _shared_neighbor_scores(g, view: str, normalization: str, threads: int):
+def _shared_neighbor_scores(g, view: str, normalization: str, each_block):
     op = g.csr(view)
-    scores = _shared_counts(op, threads)
+    scores = _shared_counts(op, each_block)
     if normalization != "raw_count":
         deg = _degrees(op)
         scores *= _guarded_inverse(deg[:, None] + deg[None, :] - scores)
@@ -268,22 +345,25 @@ def _require(cfg: MeasureConfig, measure: str):
 def cocitation(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-citer counts |I(p) & I(q)|, raw or Jaccard-normalized."""
     _require(cfg, "cocitation")
-    scores = _shared_neighbor_scores(g, "in", cfg.normalization, threads)
+    with _block_pool(threads) as each_block:
+        scores = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
 
 def coupling(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-reference counts |O(p) & O(q)|, raw or Jaccard-normalized."""
     _require(cfg, "coupling")
-    scores = _shared_neighbor_scores(g, "out", cfg.normalization, threads)
+    with _block_pool(threads) as each_block:
+        scores = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
 
 def amsler(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """lam * shared-citer score + (1 - lam) * shared-reference score."""
     _require(cfg, "amsler")
-    s_in = _shared_neighbor_scores(g, "in", cfg.normalization, threads)
-    s_out = _shared_neighbor_scores(g, "out", cfg.normalization, threads)
+    with _block_pool(threads) as each_block:
+        s_in = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
+        s_out = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
     scores = cfg.lam * s_in + (1.0 - cfg.lam) * s_out
     np.fill_diagonal(scores, 1.0)
     return SimilarityMatrix.from_square(_mirror(scores), k=0, bounded=cfg.bounded)
@@ -327,14 +407,19 @@ def na_mask(g: CitationGraph, cfg: MeasureConfig) -> np.ndarray:
 # -- iterative measures ------------------------------------------------------
 
 
-def _make_step(g: CitationGraph, cfg: MeasureConfig, threads: int) -> Callable:
-    """Build the double-buffered update: new square scores from frozen old."""
+def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
+    """Build the double-buffered update: new square scores from frozen old.
+
+    The operators' gather plans are built here, once; each step only
+    gathers and adds, block by block through ``each_block``.
+    """
     n = g.n
     C = cfg.C
     if cfg.measure == "crank" and cfg.normalization == "jaccard":
         und = g.csr("undirected")
         deg = _degrees(und)
-        inter = _shared_counts(und, threads)  # |L(p) & L(q)|
+        plan = _plan((und,))
+        inter = _shared_counts(und, each_block)  # |L(p) & L(q)|
         inv_union = _guarded_inverse(deg[:, None] + deg[None, :] - inter)
         jac = inter * inv_union
         inv_deg = _guarded_inverse(deg)
@@ -345,17 +430,17 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, threads: int) -> Callable:
 
         def step(prev: np.ndarray) -> np.ndarray:
             # G = prev @ U sums prev over q' in L(q); prev is exactly
-            # symmetric, so U @ prev is G's transpose.  Zeroing it at U's
-            # nonzeros (the same positions in G, as U is symmetric), where
-            # x is in L(q), restricts the second product's outer sum to
-            # L(p) \ L(q).  The second cross
-            # sum is the transpose of the first by symmetry of prev, so
-            # one product serves both.
-            gt = _spmm((und,), prev, threads)
-            gt[nonzeros] = 0.0
-            s1 = _spmm((und,), gt.T.copy(), threads)
+            # symmetric, so U @ prev is G's transpose, written here into
+            # G's transposed view.  Zeroing G at U's nonzeros, where x is
+            # in L(q), restricts the second product's outer sum to
+            # L(p) \ L(q).  The second cross sum is the transpose of the
+            # first by symmetry of prev, so one product serves both.
+            gsum = np.empty((n, n))
+            _spmm(plan, prev, gsum.T, each_block)
+            gsum[nonzeros] = 0.0
+            s1 = _spmm(plan, gsum, np.empty((n, n)), each_block)
             # C * (jac + (w1 * S1 + w2 * S1.T)), rounded in that order
-            cross = np.multiply(w2, s1.T, out=gt)
+            cross = np.multiply(w2, s1.T, out=gsum)
             s1 *= w1
             s1 += cross
             s1 += jac
@@ -379,25 +464,33 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, threads: int) -> Callable:
     prepared = []
     for view, w in terms:
         op = g.csr(view)
-        prepared.append(((op,), _lanes(op), w, _degrees(op)))
+        prepared.append((_plan((op,)), _plan(_lanes(op)), w, _degrees(op)))
+
+    def scaled_lower(r0, r1, steps, x, w, deg, low):
+        # rows r0:r1 of S.T over its first r1 columns, which hold the
+        # block's part of the lower triangle: w * (C * S * inv), rounded in
+        # that order (the inverse degree product is symmetric, so it serves
+        # S.T as well), added into low
+        blk = _block_sums(steps, x[:, :r1], np.empty((r1 - r0, r1)))
+        blk *= C
+        blk *= _guarded_inverse(np.outer(deg[r0:r1], deg[:r1]))
+        blk *= w
+        low[r0:r1, :r1] += blk
 
     def step(prev: np.ndarray) -> np.ndarray:
         # S = (A @ prev) @ A.T for the view's 0/1 matrix A; the second
-        # product is computed as its transpose, A @ (A @ prev).T.
-        out = np.zeros((n, n))
+        # product is computed as its transpose, A @ (A @ prev).T, from the
+        # first written transposed.  Only S[p, q] = S.T[q, p] for p < q is
+        # kept, so only the lower triangle of S.T is summed, scaled and
+        # added up, and then mirrored.
+        low = np.zeros((n, n))
+        x = np.empty((n, n))
         for ascending, lanes, w, deg in prepared:
-            st = _spmm(lanes, _spmm(ascending, prev, threads).T.copy(), threads)
-            for r0 in range(0, n, _BLOCK_ROWS):
-                r1 = min(r0 + _BLOCK_ROWS, n)
-                # w * (C * S * inv), rounded in that order; the inverse
-                # degree product is symmetric, so it serves S.T as well
-                blk = st[r0:r1]
-                blk *= C
-                blk *= _guarded_inverse(np.outer(deg[r0:r1], deg))
-                blk *= w
-            out += st.T
-        np.fill_diagonal(out, 1.0)
-        return _mirror(out)
+            _spmm(ascending, prev, x.T, each_block)
+            each_block(scaled_lower, lanes, x, w, deg, low)
+        np.fill_diagonal(low, 1.0)
+        _mirror(low.T)
+        return low
 
     return step
 
@@ -413,11 +506,11 @@ def iteration_scores(
     Runs the full budget with no epsilon stop; callers wanting early
     termination break out themselves.  ``initial`` replaces the identity
     start (its diagonal is forced to 1); the yielded arrays are fresh per
-    iteration and safe to keep.
+    iteration and safe to keep.  With ``threads > 1`` the run owns one
+    thread pool, shut down when the generator is exhausted or closed.
     """
     if not cfg.iterative:
         raise ConfigError(f"{cfg.measure} is not an iterative measure")
-    step = _make_step(g, cfg, threads)
     if initial is None:
         prev = np.eye(g.n)
     else:
@@ -426,10 +519,12 @@ def iteration_scores(
             raise ValueError(f"initial scores must be {g.n}x{g.n}")
         np.fill_diagonal(prev, 1.0)
         prev = _mirror(prev)
-    for k in range(1, cfg.k_max + 1):
-        cur = step(prev)
-        yield k, cur
-        prev = cur
+    with _block_pool(threads) as each_block:
+        step = _make_step(g, cfg, each_block)
+        for k in range(1, cfg.k_max + 1):
+            cur = step(prev)
+            yield k, cur
+            prev = cur
 
 
 def _run_iterations(g, cfg, threads):
@@ -438,13 +533,14 @@ def _run_iterations(g, cfg, threads):
     converged = False
     prev = np.eye(g.n)
     cur = prev
-    for _, cur in iteration_scores(g, cfg, threads):
-        delta = float(np.max(np.abs(cur - prev))) if cur.size else 0.0
-        deltas.append(delta)
-        prev = cur
-        if delta < cfg.epsilon:
-            converged = True
-            break
+    with closing(iteration_scores(g, cfg, threads)) as steps:
+        for _, cur in steps:
+            delta = float(np.max(np.abs(cur - prev))) if cur.size else 0.0
+            deltas.append(delta)
+            prev = cur
+            if delta < cfg.epsilon:
+                converged = True
+                break
     k_run = len(deltas)
     m = SimilarityMatrix.from_square(cur, na=na, k=k_run, bounded=True)
     return m, IterationReport(k_run, converged, tuple(deltas))
@@ -540,24 +636,14 @@ def top_k(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     scores = m.row_scores(query)
-    na = m.row_na(query)
-    positive = []
-    zeros = []
-    for q in range(m.n):
-        if q == query or na[q]:
-            continue
-        s = float(scores[q])
-        if s > 0.0:
-            positive.append((q, s))
-        elif s == 0.0:
-            zeros.append(q)
-    positive.sort(key=lambda t: (-t[1], t[0]))
-    result = [TopKEntry(q, s) for q, s in positive[:count]]
-    if zero_fill:
-        for q in zeros:
-            if len(result) >= count:
-                break
-            result.append(TopKEntry(q, 0.0, zero_fill=True))
+    candidate = ~m.row_na(query)
+    candidate[query] = False
+    ids = np.flatnonzero(candidate & (scores > 0.0))
+    ids = ids[np.lexsort((ids, -scores[ids]))][:count]
+    result = [TopKEntry(q, s) for q, s in zip(ids.tolist(), scores[ids].tolist())]
+    if zero_fill and len(result) < count:
+        zeros = np.flatnonzero(candidate & (scores == 0.0))[:count - len(result)]
+        result.extend(TopKEntry(q, 0.0, zero_fill=True) for q in zeros.tolist())
     return result
 
 
@@ -605,7 +691,8 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
         return mat.dense_scores()
 
     op = g.csr("in")
-    counts = _shared_counts(op, threads)
+    with _block_pool(threads) as each_block:
+        counts = _shared_counts(op, each_block)
     deg = _degrees(op)
     denom = np.outer(deg, deg)
     pos = denom > 0.0

@@ -136,26 +136,26 @@ class SimilarityMatrix:
 
     # -- bulk views ---------------------------------------------------------
 
+    def _row_index(self, p: int) -> np.ndarray:
+        # packed index of the pair (p, q) for every q
+        q = np.arange(self.n)
+        lo = np.minimum(p, q)
+        return lo * self.n - lo * (lo - 1) // 2 + np.abs(q - p)
+
     def row_scores(self, p: int) -> np.ndarray:
         """All scores against p as a length-n array (N/A entries read 0.0)."""
         if not 0 <= p < self.n:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
         if self.dense:
-            out = np.empty(self.n)
-            for q in range(self.n):
-                a, b = (p, q) if p <= q else (q, p)
-                i = self._idx(a, b)
-                out[q] = 0.0 if self._na[i] else self._scores[i]
-            return out
+            i = self._row_index(p)
+            return np.where(self._na[i], 0.0, self._scores[i])
         return np.array([self.get(p, q) for q in range(self.n)])
 
     def row_na(self, p: int) -> np.ndarray:
         if not 0 <= p < self.n:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
         if self.dense:
-            idx = np.array([self._idx(*((p, q) if p <= q else (q, p)))
-                            for q in range(self.n)], dtype=np.intp)
-            return self._na[idx]
+            return self._na[self._row_index(p)]
         return np.array([self.is_na(p, q) for q in range(self.n)])
 
     def dense_scores(self) -> np.ndarray:
@@ -201,15 +201,21 @@ class SimilarityMatrix:
         _, na = self.offdiag_packed()
         return int(na.sum())
 
+    def _packed_rows_above(self, threshold: float) -> Iterator[tuple[int, list, list]]:
+        # per p, from the packed triangle: the q >= p and the scores of the
+        # non-N/A pairs scoring above threshold, one numpy pass per row
+        for p in range(self.n):
+            lo = self._idx(p, p)
+            hi = lo + self.n - p
+            scores = self._scores[lo:hi]
+            keep = np.flatnonzero(~self._na[lo:hi] & (scores > threshold))
+            yield p, (keep + p).tolist(), scores[keep].tolist()
+
     def entries_above(self, threshold: float = 0.0) -> Iterator[tuple[int, int, float]]:
         """Yield (p, q, score) for p <= q, non-N/A, score > threshold."""
         if self.dense:
-            for p in range(self.n):
-                lo = self._idx(p, p)
-                hi = lo + self.n - p
-                scores = self._scores[lo:hi]
-                keep = np.flatnonzero(~self._na[lo:hi] & (scores > threshold))
-                yield from zip(repeat(p), (keep + p).tolist(), scores[keep].tolist())
+            for p, qs, scores in self._packed_rows_above(threshold):
+                yield from zip(repeat(p), qs, scores)
             return
         for p in range(self.n):
             for q in range(p, self.n):
@@ -237,7 +243,15 @@ def write_matrix_csv(m: SimilarityMatrix, path, threshold: float = 0.0):
     """Write `p,q,score` rows (p <= q, score > threshold, N/A omitted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,q,score\n")
-        fh.writelines(_ROW_FORMAT % row for row in m.entries_above(threshold))
+        if not m.dense:
+            fh.writelines(_ROW_FORMAT % row for row in m.entries_above(threshold))
+            return
+        for p, qs, scores in m._packed_rows_above(threshold):
+            # one % per matrix row, over its (q, score) pairs interleaved
+            values = [None] * (2 * len(qs))
+            values[::2] = qs
+            values[1::2] = scores
+            fh.write((f"{p},%d,{SCORE_FORMAT}\n" * len(qs)) % tuple(values))
 
 
 def read_matrix_csv(path) -> list[tuple[int, int, float]]:

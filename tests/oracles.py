@@ -9,12 +9,17 @@ Two kinds, neither sharing code with the engine's matrix algebra:
   ``einsum("ij,jk->ik")`` products in fixed row blocks.  The engine's
   sparse products fix their summation order to reproduce these bits, so
   the engine must agree with them exactly.
+
+The score store has element-by-element references too: the CSV one line
+per pair, and rankings from a sorted list.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from citesim.matrix import _ROW_FORMAT
 
 
 def _identity(n):
@@ -327,3 +332,31 @@ def einsum_step(g, cfg, threads=1):
         return _mirror(out)
 
     return step
+
+
+# -- element-by-element score store references ---------------------------------
+
+
+def matrix_csv_reference(m, threshold=0.0):
+    """What write_matrix_csv writes: the header, then one _ROW_FORMAT line
+    per pair p <= q that is not N/A and scores above threshold, by p then q."""
+    lines = ["p,q,score\n"]
+    for p in range(m.n):
+        for q in range(p, m.n):
+            if not m.is_na(p, q) and m.get(p, q) > threshold:
+                lines.append(_ROW_FORMAT % (p, q, m.get(p, q)))
+    return "".join(lines)
+
+
+def top_k_reference(m, query, count, zero_fill=True):
+    """(paper, score, zero_fill) of top_k: partners that are not N/A and
+    score above 0, sorted by (-score, id); then, with zero_fill, the
+    partners scoring exactly 0 by ascending id; at most count in all."""
+    partners = [(q, m.get(query, q)) for q in range(m.n)
+                if q != query and not m.is_na(query, q)]
+    positive = sorted(((q, s) for q, s in partners if s > 0.0), key=lambda t: (-t[1], t[0]))
+    out = [(q, s, False) for q, s in positive[:count]]
+    if zero_fill:
+        zeros = [q for q, s in partners if s == 0.0]
+        out += [(q, 0.0, True) for q in zeros[:count - len(out)]]
+    return out

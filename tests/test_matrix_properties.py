@@ -1,0 +1,58 @@
+"""Property-based checks of the packed score store against element-by-element
+references: the CSV bytes, the row views and the top_k rankings."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from citesim.engine import top_k
+from citesim.matrix import SimilarityMatrix, write_matrix_csv
+
+import oracles
+
+
+@st.composite
+def squares(draw, max_n=70):
+    """(square, na): a symmetric score array and N/A mask, n from 0 to
+    max_n.  Scores run from below 1e-4 (written in exponent form) to raw
+    counts above 1, with exact zeros and ties."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "counts", "ties"]))
+    if kind == "spread":
+        a = rng.random((n, n)) * 10.0 ** rng.integers(-12, 3, size=(n, n))
+    elif kind == "counts":
+        a = rng.integers(0, 9, size=(n, n)).astype(float)
+    else:
+        a = rng.integers(0, 4, size=(n, n)) / 4.0
+    a[rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.5))] = 0.0
+    square = np.triu(a) + np.triu(a, 1).T
+    na = np.triu(rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.4)), 1)
+    return square, na | na.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(squares(), st.sampled_from([0.0, 5e-5, 0.25, 0.5, 2.0]))
+def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq, threshold):
+    square, na = sq
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    for dense_limit in (square.shape[0], -1):  # packed store, then the dict one
+        m = SimilarityMatrix.from_square(square, na=na, dense_limit=dense_limit)
+        write_matrix_csv(m, path, threshold=threshold)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == oracles.matrix_csv_reference(m, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(squares(max_n=40), st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=45),
+       st.booleans(), st.data())
+def test_row_views_and_top_k_match_elementwise_references(sq, count, zero_fill, data):
+    square, na = sq
+    m = SimilarityMatrix.from_square(square, na=na)
+    for p in range(m.n):
+        scores, flags = m.row_scores(p), m.row_na(p)
+        assert scores.tolist() == [m.get(p, q) for q in range(m.n)]
+        assert flags.tolist() == [m.is_na(p, q) for q in range(m.n)]
+    if m.n:
+        query = data.draw(st.integers(min_value=0, max_value=m.n - 1))
+        got = [(e.paper, e.score, e.zero_fill) for e in top_k(m, query, count, zero_fill)]
+        assert got == oracles.top_k_reference(m, query, count, zero_fill)
