@@ -46,10 +46,11 @@ the full square, at about half the work.
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
 With ``threads > 1`` the calling thread and ``threads - 1`` workers take
-row blocks from a shared queue.  Results are bit-identical for any
-``threads`` value.  The blocks are many short numpy calls that hold the
-interpreter lock for most of their time, so at n=600 on a shared 2-core
-x86-64 host two threads run a step no faster than one.
+row blocks from a shared queue; ``threads`` is first capped at the number
+of row blocks, so a small graph starts no idle workers.  Results are
+bit-identical for any ``threads`` value.  The blocks are many short numpy
+calls that hold the interpreter lock for most of their time, so at n=600
+on a shared 2-core x86-64 host two threads run a step no faster than one.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -224,16 +225,19 @@ def _serial(fn, plan, *args):
 
 
 @contextmanager
-def _block_pool(threads: int):
+def _block_pool(threads: int, n: int):
     """Yield ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1, steps,
     *args)`` for every block of ``plan`` and returns when all are done.
 
-    One run opens one of these and passes it down to all its products.
-    With ``threads > 1``, the calling thread and ``threads - 1`` workers of
-    one executor take blocks from a shared queue: a worker that wakes late
-    takes fewer blocks instead of holding the product up.  The executor is
-    shut down when the ``with`` block ends.
+    One run over n nodes opens one of these and passes it down to all its
+    products, whose plans have ceil(n / _BLOCK_ROWS) blocks each; no more
+    threads than that are used, whatever ``threads`` asks for.  With more
+    than one, the calling thread and the workers of one executor take
+    blocks from a shared queue: a worker that wakes late takes fewer blocks
+    instead of holding the product up.  The executor is shut down when the
+    ``with`` block ends.
     """
+    threads = min(threads, -(-n // _BLOCK_ROWS))
     if threads <= 1:
         yield _serial
         return
@@ -345,7 +349,7 @@ def _require(cfg: MeasureConfig, measure: str):
 def cocitation(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-citer counts |I(p) & I(q)|, raw or Jaccard-normalized."""
     _require(cfg, "cocitation")
-    with _block_pool(threads) as each_block:
+    with _block_pool(threads, g.n) as each_block:
         scores = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
@@ -353,7 +357,7 @@ def cocitation(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> Simila
 def coupling(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-reference counts |O(p) & O(q)|, raw or Jaccard-normalized."""
     _require(cfg, "coupling")
-    with _block_pool(threads) as each_block:
+    with _block_pool(threads, g.n) as each_block:
         scores = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
@@ -361,7 +365,7 @@ def coupling(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> Similari
 def amsler(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """lam * shared-citer score + (1 - lam) * shared-reference score."""
     _require(cfg, "amsler")
-    with _block_pool(threads) as each_block:
+    with _block_pool(threads, g.n) as each_block:
         s_in = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
         s_out = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
     scores = cfg.lam * s_in + (1.0 - cfg.lam) * s_out
@@ -519,7 +523,7 @@ def iteration_scores(
             raise ValueError(f"initial scores must be {g.n}x{g.n}")
         np.fill_diagonal(prev, 1.0)
         prev = _mirror(prev)
-    with _block_pool(threads) as each_block:
+    with _block_pool(threads, g.n) as each_block:
         step = _make_step(g, cfg, each_block)
         for k in range(1, cfg.k_max + 1):
             cur = step(prev)
@@ -583,7 +587,13 @@ def crank_jaccard(
 def converge(
     g: CitationGraph, cfg: MeasureConfig, threads: int = 1
 ) -> tuple[SimilarityMatrix, IterationReport]:
-    """Dispatch to the iterative driver for cfg, with k_max as a hard cap."""
+    """Run cfg's recursion until max delta < epsilon, with k_max as a hard cap.
+
+    One driver serves all four recursions; it builds the update for the
+    measure and normalization that :class:`MeasureConfig` has validated.
+    The result is the one :func:`crank_jaccard` or :func:`iterate_pairwise`
+    gives for cfg; only this entry point warns that C=1 gives no decay.
+    """
     if not cfg.iterative:
         raise ConfigError(f"{cfg.measure} does not iterate; call compute instead")
     if cfg.C == 1.0:
@@ -593,9 +603,7 @@ def converge(
             RuntimeWarning,
             stacklevel=2,
         )
-    if cfg.measure == "crank" and cfg.normalization == "jaccard":
-        return crank_jaccard(g, cfg, threads)
-    return iterate_pairwise(g, cfg, threads)
+    return _run_iterations(g, cfg, threads)
 
 
 def compute(
@@ -691,7 +699,7 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
         return mat.dense_scores()
 
     op = g.csr("in")
-    with _block_pool(threads) as each_block:
+    with _block_pool(threads, g.n) as each_block:
         counts = _shared_counts(op, each_block)
     deg = _degrees(op)
     denom = np.outer(deg, deg)

@@ -19,7 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from citesim.matrix import _ROW_FORMAT
+from citesim.matrix import SCORE_FORMAT
+
+_ROW_FORMAT = f"%d,%d,{SCORE_FORMAT}\n"
 
 
 def _identity(n):

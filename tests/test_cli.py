@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import citesim
 from citesim import fixtures
 from citesim.cli import main
 from citesim.engine import MeasureConfig, compute
@@ -314,10 +316,13 @@ def test_cases_command(gap_files, tmp_path):
 
 def test_module_entry_point(shared_files, tmp_path):
     edge, meta = shared_files
+    # the child imports citesim from where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(citesim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "citesim", "validate", "--graph", edge,
          "--meta", meta],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["graph"]["nodes"] == 10

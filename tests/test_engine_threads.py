@@ -4,7 +4,7 @@ its bits do not depend on how the blocks are shared out."""
 import sys
 import threading
 
-from citesim import fixtures
+from citesim import engine, fixtures
 from citesim.engine import MeasureConfig, compute, iteration_scores
 
 # 300 papers: five row blocks per product, so the helpers get blocks to take
@@ -30,6 +30,27 @@ def test_closing_the_iteration_early_shuts_its_pool_down():
     assert threading.active_count() > before  # the run's pool is up
     steps.close()
     assert threading.active_count() == before
+
+
+def test_workers_are_capped_at_the_row_blocks(monkeypatch):
+    # 130 papers make three row blocks per product: beyond the calling
+    # thread, two workers are all the blocks can use, whatever --threads says
+    small = fixtures.random_graph(130, 5 / 130, seed=5)
+    before = threading.active_count()
+    peak = before
+    block_sums = engine._block_sums
+
+    def spy(*args):
+        nonlocal peak
+        peak = max(peak, threading.active_count())
+        return block_sums(*args)
+
+    monkeypatch.setattr(engine, "_block_sums", spy)
+    cfg = MeasureConfig("prank", k_max=3, epsilon=1e-300)
+    base, _ = compute(small, cfg, threads=1)
+    other, _ = compute(small, cfg, threads=12)
+    assert peak - before <= 2
+    assert base.same_bits(other)
 
 
 def test_many_threads_with_fast_switching_keep_the_bits():

@@ -80,35 +80,6 @@ def test_entries_above_skips_na_and_threshold():
     assert len(rows) == 5
 
 
-def test_sparse_backend_matches_dense():
-    rng = np.random.default_rng(2)
-    a = rng.random((8, 8))
-    square = np.triu(a) + np.triu(a, 1).T
-    na = np.zeros((8, 8), dtype=bool)
-    na[0, 7] = na[7, 0] = True
-    square[0, 7] = square[7, 0] = 0.0
-    dense = SimilarityMatrix.from_square(square, na=na)
-    sparse = SimilarityMatrix.from_square(square, na=na, dense_limit=0)
-    assert dense.dense and not sparse.dense
-    assert np.array_equal(dense.dense_scores(), sparse.dense_scores())
-    assert np.array_equal(dense.dense_na(), sparse.dense_na())
-    assert dense.na_count() == sparse.na_count()
-    for p in range(8):
-        assert np.array_equal(dense.row_scores(p), sparse.row_scores(p))
-    assert sorted(dense.entries_above(0.2)) == sorted(sparse.entries_above(0.2))
-
-
-def test_sparse_mutation_and_defaults():
-    m = SimilarityMatrix(5, dense_limit=0)
-    assert m.get(3, 3) == 1.0  # implicit diagonal
-    m.set(1, 2, 0.3)
-    m.set_na(0, 4)
-    assert m.get(2, 1) == 0.3
-    assert m.is_na(4, 0) and m.get(4, 0) == 0.0
-    m.set(1, 2, 0.0)  # writing the default value erases the entry
-    assert m.get(1, 2) == 0.0 and not m.is_na(1, 2)
-
-
 def test_out_of_range_pairs_rejected():
     m = SimilarityMatrix(3)
     with pytest.raises(ValueError):

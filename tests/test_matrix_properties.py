@@ -35,11 +35,10 @@ def squares(draw, max_n=70):
 def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq, threshold):
     square, na = sq
     path = tmp_path_factory.mktemp("csv") / "m.csv"
-    for dense_limit in (square.shape[0], -1):  # packed store, then the dict one
-        m = SimilarityMatrix.from_square(square, na=na, dense_limit=dense_limit)
-        write_matrix_csv(m, path, threshold=threshold)
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert fh.read() == oracles.matrix_csv_reference(m, threshold)
+    m = SimilarityMatrix.from_square(square, na=na)
+    write_matrix_csv(m, path, threshold=threshold)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == oracles.matrix_csv_reference(m, threshold)
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,6 +47,9 @@ def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq, threshold):
 def test_row_views_and_top_k_match_elementwise_references(sq, count, zero_fill, data):
     square, na = sq
     m = SimilarityMatrix.from_square(square, na=na)
+    assert np.array_equal(m.dense_na(), na)
+    assert np.array_equal(m.dense_scores(), np.where(na, 0.0, square))
+    assert m.na_count() == np.count_nonzero(np.triu(na, 1))
     for p in range(m.n):
         scores, flags = m.row_scores(p), m.row_na(p)
         assert scores.tolist() == [m.get(p, q) for q in range(m.n)]
