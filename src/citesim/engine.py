@@ -1,16 +1,14 @@
 """Seven link-based similarity measures over a citation graph.
 
-Non-iterative measures count shared neighbors (common citers, common
-references, and their weighted blend); iterative measures propagate scores
-through neighbor pairs until a fixed point:
-
-* in-link recursion: score flows through the papers citing p and q
-* out-link recursion: through the papers p and q cite
-* blended recursion: weighted sum of the two, weight ``lam``
-* undirected recursion: through L(p) = I(p) | O(p), either with pairwise
-  normalization (divide by |L(p)|*|L(q)|) or with the Jaccard update that
-  adds the shared-neighbor ratio and weights the two cross sums by
-  1/(|L(p) u L(q)|*|L(q)|) and 1/(|L(p) u L(q)|*|L(p)|)
+Each measure sums over one or two neighbor views, each with a weight: the
+in-links I(p), the out-links O(p), or the undirected view L(p) = I(p) | O(p).
+These ``(view, weight)`` terms are written once, in :func:`_terms`.
+Non-iterative measures count shared neighbors in each view; iterative
+measures propagate scores through neighbor pairs until a fixed point, either
+with pairwise normalization (divide by |X(p)|*|X(q)| in each view X) or,
+over L, with the Jaccard update that adds the shared-neighbor ratio and
+weights the two cross sums by 1/(|L(p) u L(q)|*|L(q)|) and
+1/(|L(p) u L(q)|*|L(p)|).
 
 All iterative updates are double-buffered: iteration k+1 reads only the
 frozen iteration-k matrix, so the pair space can be partitioned across
@@ -63,6 +61,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from functools import reduce
+from operator import iand
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -71,21 +71,10 @@ from .errors import ConfigError
 from .graph import CitationGraph
 from .matrix import SCORE_FORMAT, SimilarityMatrix
 
-MEASURES = (
-    "cocitation",
-    "coupling",
-    "amsler",
-    "simrank",
-    "rvs_simrank",
-    "prank",
-    "crank",
-)
-
-NORMALIZATIONS = ("raw_count", "jaccard", "pairwise")
-
-ITERATIVE_MEASURES = ("simrank", "rvs_simrank", "prank", "crank")
-
-_ALLOWED_NORMS = {
+# Per measure, the normalizations it supports; the first is its default.
+# Counting measures default to the raw set-intersection reading; the
+# undirected recursion defaults to its Jaccard form.
+_NORMS = {
     "cocitation": ("raw_count", "jaccard"),
     "coupling": ("raw_count", "jaccard"),
     "amsler": ("raw_count", "jaccard"),
@@ -95,17 +84,24 @@ _ALLOWED_NORMS = {
     "crank": ("jaccard", "pairwise"),
 }
 
-# Counting measures default to the raw set-intersection reading; the
-# undirected recursion defaults to its Jaccard form.
-_DEFAULT_NORM = {
-    "cocitation": "raw_count",
-    "coupling": "raw_count",
-    "amsler": "raw_count",
-    "simrank": "pairwise",
-    "rvs_simrank": "pairwise",
-    "prank": "pairwise",
-    "crank": "jaccard",
-}
+MEASURES = tuple(_NORMS)
+
+NORMALIZATIONS = ("raw_count", "jaccard", "pairwise")
+
+ITERATIVE_MEASURES = ("simrank", "rvs_simrank", "prank", "crank")
+
+
+def _terms(cfg: MeasureConfig) -> list:
+    """The ``(view, weight)`` terms that a measure sums over."""
+    return {
+        "cocitation": [("in", 1.0)],
+        "coupling": [("out", 1.0)],
+        "amsler": [("in", cfg.lam), ("out", 1.0 - cfg.lam)],
+        "simrank": [("in", 1.0)],
+        "rvs_simrank": [("out", 1.0)],
+        "prank": [("in", cfg.lam), ("out", 1.0 - cfg.lam)],
+        "crank": [("undirected", 1.0)],
+    }[cfg.measure]
 
 
 @dataclass(frozen=True)
@@ -127,20 +123,25 @@ class MeasureConfig:
         if self.measure not in MEASURES:
             raise ConfigError(f"unknown measure {self.measure!r}")
         if self.normalization is None:
-            object.__setattr__(self, "normalization", _DEFAULT_NORM[self.measure])
+            object.__setattr__(self, "normalization", _NORMS[self.measure][0])
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.normalization not in _ALLOWED_NORMS[self.measure]:
+        if self.normalization not in _NORMS[self.measure]:
             raise ConfigError(
                 f"{self.measure} does not support {self.normalization} "
-                f"normalization (allowed: {', '.join(_ALLOWED_NORMS[self.measure])})"
+                f"normalization (allowed: {', '.join(_NORMS[self.measure])})"
             )
         if not 0.0 <= self.C <= 1.0:
             raise ConfigError(f"C must be in [0,1], got {self.C}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0,1], got {self.lam}")
-        if int(self.k_max) != self.k_max or self.k_max < 1:
-            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max}")
+        try:
+            k_max = int(self.k_max)
+        except (TypeError, ValueError, OverflowError):
+            k_max = None
+        if k_max is None or k_max != self.k_max or k_max < 1:
+            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        object.__setattr__(self, "k_max", k_max)
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
@@ -219,11 +220,6 @@ def _block_sums(steps, src: np.ndarray, dest: np.ndarray) -> np.ndarray:
     return dest
 
 
-def _serial(fn, plan, *args):
-    for job in plan:
-        fn(*job, *args)
-
-
 @contextmanager
 def _block_pool(threads: int, n: int):
     """Yield ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1, steps,
@@ -231,17 +227,15 @@ def _block_pool(threads: int, n: int):
 
     One run over n nodes opens one of these and passes it down to all its
     products, whose plans have ceil(n / _BLOCK_ROWS) blocks each; no more
-    threads than that are used, whatever ``threads`` asks for.  With more
-    than one, the calling thread and the workers of one executor take
-    blocks from a shared queue: a worker that wakes late takes fewer blocks
-    instead of holding the product up.  The executor is shut down when the
-    ``with`` block ends.
+    threads than that are used, whatever ``threads`` asks for.  The calling
+    thread and ``threads - 1`` helpers of one executor take blocks from a
+    shared queue: a helper that wakes late takes fewer blocks instead of
+    holding the product up.  With no helpers the executor starts no thread
+    and the calling thread takes every block.  The executor is shut down
+    when the ``with`` block ends.
     """
-    threads = min(threads, -(-n // _BLOCK_ROWS))
-    if threads <= 1:
-        yield _serial
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+    helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
 
         def each_block(fn, plan, *args):
             jobs = queue.SimpleQueue()
@@ -256,9 +250,9 @@ def _block_pool(threads: int, n: int):
                         return
                     fn(*job, *args)
 
-            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            started = [pool.submit(drain) for _ in range(helpers)]
             drain()
-            for helper in helpers:
+            for helper in started:
                 # a helper that has not started would find the queue empty
                 if not helper.cancel():
                     helper.result()
@@ -331,14 +325,20 @@ def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
 # -- non-iterative measures -------------------------------------------------
 
 
-def _shared_neighbor_scores(g, view: str, normalization: str, each_block):
-    op = g.csr(view)
-    scores = _shared_counts(op, each_block)
-    if normalization != "raw_count":
-        deg = _degrees(op)
-        scores *= _guarded_inverse(deg[:, None] + deg[None, :] - scores)
+def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityMatrix:
+    """Sum over the measure's terms of weight * shared-neighbor score, raw
+    or Jaccard-normalized, with 1 on the diagonal."""
+    scores = 0.0
+    with _block_pool(threads, g.n) as each_block:
+        for view, w in _terms(cfg):
+            op = g.csr(view)
+            shared = _shared_counts(op, each_block)
+            if cfg.normalization == "jaccard":
+                deg = _degrees(op)
+                shared *= _guarded_inverse(deg[:, None] + deg[None, :] - shared)
+            scores = scores + w * shared
     np.fill_diagonal(scores, 1.0)
-    return _mirror(scores)
+    return SimilarityMatrix.from_square(_mirror(scores), k=0, bounded=cfg.bounded)
 
 
 def _require(cfg: MeasureConfig, measure: str):
@@ -349,28 +349,19 @@ def _require(cfg: MeasureConfig, measure: str):
 def cocitation(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-citer counts |I(p) & I(q)|, raw or Jaccard-normalized."""
     _require(cfg, "cocitation")
-    with _block_pool(threads, g.n) as each_block:
-        scores = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
-    return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
+    return _one_shot(g, cfg, threads)
 
 
 def coupling(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """Shared-reference counts |O(p) & O(q)|, raw or Jaccard-normalized."""
     _require(cfg, "coupling")
-    with _block_pool(threads, g.n) as each_block:
-        scores = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
-    return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
+    return _one_shot(g, cfg, threads)
 
 
 def amsler(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
     """lam * shared-citer score + (1 - lam) * shared-reference score."""
     _require(cfg, "amsler")
-    with _block_pool(threads, g.n) as each_block:
-        s_in = _shared_neighbor_scores(g, "in", cfg.normalization, each_block)
-        s_out = _shared_neighbor_scores(g, "out", cfg.normalization, each_block)
-    scores = cfg.lam * s_in + (1.0 - cfg.lam) * s_out
-    np.fill_diagonal(scores, 1.0)
-    return SimilarityMatrix.from_square(_mirror(scores), k=0, bounded=cfg.bounded)
+    return _one_shot(g, cfg, threads)
 
 
 # -- N/A structure ----------------------------------------------------------
@@ -379,31 +370,20 @@ def amsler(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> Similarity
 def na_mask(g: CitationGraph, cfg: MeasureConfig) -> np.ndarray:
     """Square bool mask of pairs the measure cannot score.
 
-    The mask depends only on graph structure (which neighbor sets are
-    empty), so it is constant across iterations.  The diagonal is never
-    N/A.  The blended recursion is N/A only where both the in-link and the
-    out-link recursions are; the undirected Jaccard recursion scores
-    everything.
+    A pairwise-normalized recursion leaves p, q N/A where, in every view
+    of the measure's :func:`_terms` (whatever its weight), p or q has no
+    neighbors; other measures score everything.  The mask depends only on
+    graph structure, so it is constant across iterations.  The diagonal is
+    never N/A.
     """
-    n = g.n
-    din = np.array([len(s) for s in g.in_index], dtype=float)
-    dout = np.array([len(s) for s in g.out_index], dtype=float)
+    if cfg.normalization != "pairwise":
+        return np.zeros((g.n, g.n), dtype=bool)
 
-    def empty_pairs(deg):
-        e = deg == 0
-        return e[:, None] | e[None, :]
+    def empty_pairs(view):
+        empty = np.fromiter((not s for s in g.neighbor_sets(view)), dtype=bool, count=g.n)
+        return empty[:, None] | empty[None, :]
 
-    if cfg.measure == "simrank":
-        mask = empty_pairs(din)
-    elif cfg.measure == "rvs_simrank":
-        mask = empty_pairs(dout)
-    elif cfg.measure == "prank":
-        mask = empty_pairs(din) & empty_pairs(dout)
-    elif cfg.measure == "crank" and cfg.normalization == "pairwise":
-        dund = np.array([len(s) for s in g.und_index], dtype=float)
-        mask = empty_pairs(dund)
-    else:
-        mask = np.zeros((n, n), dtype=bool)
+    mask = reduce(iand, [empty_pairs(view) for view, _ in _terms(cfg)])
     np.fill_diagonal(mask, False)
     return mask
 
@@ -419,8 +399,10 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
     """
     n = g.n
     C = cfg.C
-    if cfg.measure == "crank" and cfg.normalization == "jaccard":
-        und = g.csr("undirected")
+    if cfg.normalization == "jaccard":
+        # the Jaccard recursion is crank's, over its one view
+        [(view, _)] = _terms(cfg)
+        und = g.csr(view)
         deg = _degrees(und)
         plan = _plan((und,))
         inter = _shared_counts(und, each_block)  # |L(p) & L(q)|
@@ -454,19 +436,8 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
 
         return step
 
-    if cfg.measure == "simrank":
-        terms = [("in", 1.0)]
-    elif cfg.measure == "rvs_simrank":
-        terms = [("out", 1.0)]
-    elif cfg.measure == "prank":
-        terms = [("in", cfg.lam), ("out", 1.0 - cfg.lam)]
-    elif cfg.measure == "crank":
-        terms = [("undirected", 1.0)]
-    else:
-        raise ConfigError(f"{cfg.measure} has no iterative form")
-
     prepared = []
-    for view, w in terms:
+    for view, w in _terms(cfg):
         op = g.csr(view)
         prepared.append((_plan((op,)), _plan(_lanes(op)), w, _degrees(op)))
 
@@ -610,13 +581,9 @@ def compute(
     g: CitationGraph, cfg: MeasureConfig, threads: int = 1
 ) -> tuple[SimilarityMatrix, Optional[IterationReport]]:
     """Run any configured measure; the report is None for one-shot measures."""
-    if cfg.measure == "cocitation":
-        return cocitation(g, cfg, threads), None
-    if cfg.measure == "coupling":
-        return coupling(g, cfg, threads), None
-    if cfg.measure == "amsler":
-        return amsler(g, cfg, threads), None
-    return converge(g, cfg, threads)
+    if cfg.iterative:
+        return converge(g, cfg, threads)
+    return _one_shot(g, cfg, threads), None
 
 
 # -- ranking ----------------------------------------------------------------

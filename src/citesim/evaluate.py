@@ -203,10 +203,9 @@ def convergence_trace(
 
     The top 10 are re-selected at every k.  Graphs with fewer than 10
     scoreable pairs use what they have; ``pairs_used`` records the count.
+    ``k_range`` replaces cfg's k_max and is validated as k_max is.
     """
-    if k_range < 1:
-        raise ConfigError(f"k_range must be >= 1, got {k_range}")
-    run_cfg = replace(cfg, k_max=int(k_range))
+    run_cfg = replace(cfg, k_max=k_range)
     iu = np.triu_indices(g.n, 1)
     usable = ~na_mask(g, cfg)[iu]
     points = []

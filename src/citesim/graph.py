@@ -136,12 +136,16 @@ class CitationGraph:
         undirected neighbor."""
         if not 0 <= p < self.n:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
+        return self.neighbor_sets(view)[p]
+
+    def neighbor_sets(self, view: str) -> tuple:
+        """I(p), O(p) or L(p) for every paper p, one frozenset each."""
         if view == "in":
-            return self.in_index[p]
+            return self.in_index
         if view == "out":
-            return self.out_index[p]
+            return self.out_index
         if view == "undirected":
-            return self.und_index[p]
+            return self.und_index
         raise ValueError(f"unknown view {view!r}")
 
     def stats(self) -> GraphStats:
@@ -166,10 +170,7 @@ class CitationGraph:
         O(p) or L(p) in ascending order; mutual citations collapse to one
         undirected neighbor.
         """
-        index = {"in": self.in_index, "out": self.out_index,
-                 "undirected": self.und_index}.get(view)
-        if index is None:
-            raise ValueError(f"unknown view {view!r}")
+        index = self.neighbor_sets(view)
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum([len(s) for s in index], out=indptr[1:])
         indices = np.fromiter((x for s in index for x in sorted(s)),

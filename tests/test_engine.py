@@ -55,6 +55,9 @@ def test_config_rejects_bad_values():
         MeasureConfig("prank", lam=2.0)
     with pytest.raises(ConfigError):
         MeasureConfig("crank", k_max=0)
+    for k_max in (2.5, "x", "3", None, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            MeasureConfig("crank", k_max=k_max)
     with pytest.raises(ConfigError):
         MeasureConfig("crank", epsilon=0.0)
 
@@ -64,6 +67,8 @@ def test_boundary_parameters_allowed():
     assert MeasureConfig("simrank", C=0.0).C == 0.0
     assert MeasureConfig("prank", lam=0.0).lam == 0.0
     assert MeasureConfig("prank", lam=1.0).lam == 1.0
+    k_max = MeasureConfig("crank", k_max=3.0).k_max
+    assert k_max == 3 and type(k_max) is int
 
 
 # -- one-shot measures -------------------------------------------------------

@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from citesim.engine import (
+    MEASURES,
+    NORMALIZATIONS,
     MeasureConfig,
     compute,
     crank_jaccard,
@@ -20,6 +22,7 @@ from citesim.engine import (
 )
 
 import oracles
+from citesim.errors import ConfigError
 from citesim.graph import CitationGraph
 
 
@@ -45,13 +48,18 @@ def block_crossing_graphs(draw):
     return CitationGraph.from_edges(n, sorted(edges))
 
 
+# the weights' end points, where one term of a blend has weight 0, and any
+# value between
+lams = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
 @settings(max_examples=30, deadline=None)
-@given(block_crossing_graphs(), st.sampled_from([1, 2, 3]))
-def test_engine_matches_einsum_reference_bit_for_bit(g, threads):
+@given(block_crossing_graphs(), st.sampled_from([1, 2, 3]), lams, lams)
+def test_engine_matches_einsum_reference_bit_for_bit(g, threads, prank_lam, amsler_lam):
     for cfg in (
         MeasureConfig("simrank", k_max=3),
         MeasureConfig("rvs_simrank", k_max=3),
-        MeasureConfig("prank", lam=0.3, k_max=3),
+        MeasureConfig("prank", lam=prank_lam, k_max=3),
         MeasureConfig("crank", "pairwise", k_max=3),
         MeasureConfig("crank", "jaccard", k_max=3),
     ):
@@ -64,10 +72,10 @@ def test_engine_matches_einsum_reference_bit_for_bit(g, threads):
         refs = {
             "cocitation": oracles.einsum_shared_scores(g, "in", norm, threads),
             "coupling": oracles.einsum_shared_scores(g, "out", norm, threads),
-            "amsler": oracles.einsum_amsler_scores(g, 0.5, norm, threads),
+            "amsler": oracles.einsum_amsler_scores(g, amsler_lam, norm, threads),
         }
         for measure, want in refs.items():
-            matrix, _ = compute(g, MeasureConfig(measure, norm), threads)
+            matrix, _ = compute(g, MeasureConfig(measure, norm, lam=amsler_lam), threads)
             assert np.array_equal(matrix.dense_scores(), want), (measure, norm)
 
 
@@ -140,6 +148,23 @@ def test_blend_gaps_are_intersection_of_directed_gaps(g):
     blend = na_mask(g, MeasureConfig("prank"))
     assert np.array_equal(blend, sim & rvs)
     assert not na_mask(g, MeasureConfig("crank", "jaccard")).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_na_mask_matches_brute_force_pairs(g):
+    for measure in MEASURES:
+        for norm in NORMALIZATIONS:
+            for lam in (0.0, 0.5, 1.0):
+                try:
+                    cfg = MeasureConfig(measure, norm, lam=lam)
+                except ConfigError:
+                    continue  # a normalization the measure does not support
+                mask = na_mask(g, cfg)
+                assert np.array_equal(mask, mask.T)
+                assert not mask.diagonal().any()
+                got = set(zip(*np.nonzero(np.triu(mask, 1))))
+                assert got == oracles.na_pairs(g, measure, norm), cfg.label()
 
 
 @settings(max_examples=30, deadline=None)

@@ -236,8 +236,12 @@ def test_trace_small_graph_uses_what_it_has():
 def test_trace_argument_validation(shared_graph):
     with pytest.raises(ConfigError):
         convergence_trace(shared_graph, MeasureConfig("crank"), 0)
+    for k_range in (2.5, "x", float("inf")):
+        with pytest.raises(ConfigError):
+            convergence_trace(shared_graph, MeasureConfig("crank"), k_range)
     with pytest.raises(ConfigError):
         convergence_trace(shared_graph, MeasureConfig("cocitation"), 5)
+    assert [pt.k for pt in convergence_trace(shared_graph, MeasureConfig("crank"), 3.0)] == [1, 2, 3]
 
 
 # -- hard-pair case tables ---------------------------------------------------
