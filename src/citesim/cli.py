@@ -13,8 +13,10 @@ One invocation, one command, file in, files out:
 Every command that writes a CSV also writes `<out>.summary.json` capturing
 the config, graph shape, and iteration report, so a run can be reproduced
 from its outputs alone.  `validate` without a measure checks and summarizes
-the graph; with a measure plus --out it recomputes the matrix and verifies
-the named CSV byte-for-byte against it.
+the graph; with a measure plus --out it recomputes the matrix and checks
+the named CSV against it pair by pair: every exported pair present once,
+no other pair, and each score equal as a parsed float64 (so `5e-1` passes
+where `0.5` was written).
 
 Exit status: 0 success, 1 usage or parameter problem, 2 unreadable or
 inconsistent data.
@@ -31,18 +33,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import evaluate
-from .engine import (
-    MEASURES,
-    NORMALIZATIONS,
-    MeasureConfig,
-    compute,
-    top_k,
-    write_iteration_csv,
-)
+from .engine import MEASURES, NORMALIZATIONS, MeasureConfig, compute, top_k
 from .errors import ConfigError, DataError
 from .graph import load_graph_files
-from .matrix import SCORE_FORMAT, read_matrix_csv, write_matrix_csv
+from .matrix import SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv
 
 DEFAULT_M = (10, 20, 30, 40, 50)
 
@@ -152,36 +149,13 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv) -> RunSpec:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    spec = RunSpec(
-        command=ns.command,
-        graph=ns.graph,
-        meta=ns.meta,
-        out=ns.out,
-        measure=ns.measure,
-        normalization=ns.normalization,
-        C=ns.C,
-        lam=ns.lam,
-        k_max=ns.k_max,
-        epsilon=ns.epsilon,
-        query=getattr(ns, "query", None),
-        count=getattr(ns, "count", 10),
-        m_values=tuple(getattr(ns, "m_values", DEFAULT_M)),
-        corpus=getattr(ns, "corpus", None),
-        pairs=getattr(ns, "pairs", None),
-        threads=ns.threads,
-    )
+    spec = RunSpec(**vars(parser.parse_args(argv)))
     if spec.threads < 1:
         parser.error("--threads must be >= 1")
     if spec.count < 1:
         parser.error("--count must be >= 1")
     try:
-        if spec.measure is not None:
-            spec.config()
-        else:
-            # no measure chosen: still vet the numeric flags
-            MeasureConfig("crank", C=spec.C, lam=spec.lam,
-                          k_max=spec.k_max, epsilon=spec.epsilon)
+        spec.config(None if spec.measure else "crank")  # no measure: vet the numbers
     except ConfigError as exc:
         parser.error(str(exc))
     if spec.measure is None and spec.normalization is not None:
@@ -341,8 +315,7 @@ def _dispatch(spec: RunSpec) -> int:
 
     if spec.command == "validate":
         if spec.measure is None:
-            payload = {**base}
-            text = json.dumps(payload, indent=2, sort_keys=True)
+            text = json.dumps(base, indent=2, sort_keys=True)
             print(text)
             if spec.out:
                 with open(spec.out, "w", encoding="utf-8") as fh:
@@ -357,33 +330,21 @@ def _verify_matrix(spec: RunSpec, g, base: dict) -> int:
     """Recompute the matrix and compare a CSV export entry-for-entry."""
     cfg = spec.config()
     mat, _ = compute(g, cfg, spec.threads)
-    expected = {(p, q): s for p, q, s in mat.entries_above(0.0)}
-    actual = {}
-    for p, q, s in read_matrix_csv(spec.out):
-        if not (0 <= p <= q < g.n):
-            raise DataError(f"{spec.out}: pair ({p}, {q}) out of range for n={g.n}")
-        if (p, q) in actual:
-            raise DataError(f"{spec.out}: duplicate pair ({p}, {q})")
-        actual[(p, q)] = s
-
-    missing = sorted(set(expected) - set(actual))
-    extra = sorted(set(actual) - set(expected))
-    changed = sorted(
-        pq for pq in set(expected) & set(actual) if expected[pq] != actual[pq]
-    )
-    ok = not (missing or extra or changed)
+    rows = read_matrix_csv(spec.out)
+    missing, extra, changed = diff = compare_rows(mat, rows, spec.out)
+    first = np.concatenate(diff)[:10].tolist()  # missing, unexpected, mismatched
     print(json.dumps({
         **base,
         "config": _config_payload(cfg),
         "matrix_file": spec.out,
-        "entries_checked": len(actual),
+        "entries_checked": len(rows),
         "missing_pairs": len(missing),
         "unexpected_pairs": len(extra),
         "mismatched_scores": len(changed),
-        "verified": ok,
+        "verified": not first,
     }, indent=2, sort_keys=True))
-    if not ok:
-        for p, q in (missing + extra + changed)[:10]:
+    if first:
+        for p, q in first:
             print(f"mismatch at pair ({p}, {q})", file=sys.stderr)
         return 2
     return 0

@@ -131,19 +131,21 @@ class MeasureConfig:
                 f"{self.measure} does not support {self.normalization} "
                 f"normalization (allowed: {', '.join(_NORMS[self.measure])})"
             )
-        if not 0.0 <= self.C <= 1.0:
-            raise ConfigError(f"C must be in [0,1], got {self.C}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0,1], got {self.lam}")
-        try:
-            k_max = int(self.k_max)
-        except (TypeError, ValueError, OverflowError):
-            k_max = None
-        if k_max is None or k_max != self.k_max or k_max < 1:
-            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        object.__setattr__(self, "k_max", k_max)
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        for name, kind, valid, rule in (
+            ("C", float, lambda v: 0.0 <= v <= 1.0, "C must be in [0,1]"),
+            ("lam", float, lambda v: 0.0 <= v <= 1.0, "lambda must be in [0,1]"),
+            ("k_max", int, lambda v: v >= 1, "k_max must be an integer >= 1"),
+            ("epsilon", float, lambda v: v > 0.0, "epsilon must be > 0"),
+        ):
+            # stored converted, and only when conversion keeps the value
+            value = getattr(self, name)
+            try:
+                converted = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                converted = None
+            if converted is None or converted != value or not valid(converted):
+                raise ConfigError(f"{rule}, got {value!r}")
+            object.__setattr__(self, name, converted)
 
     @property
     def iterative(self) -> bool:

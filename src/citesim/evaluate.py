@@ -206,11 +206,11 @@ def convergence_trace(
     ``k_range`` replaces cfg's k_max and is validated as k_max is.
     """
     run_cfg = replace(cfg, k_max=k_range)
-    iu = np.triu_indices(g.n, 1)
-    usable = ~na_mask(g, cfg)[iu]
+    na = na_mask(g, cfg)
     points = []
     for k, square in iteration_scores(g, run_cfg, threads):
-        vals = square[iu][usable]
+        scores, na_pairs = SimilarityMatrix.from_square(square, na).offdiag_packed()
+        vals = scores[~na_pairs]
         take = min(10, vals.size)
         if take:
             top = np.sort(vals)[::-1][:take]

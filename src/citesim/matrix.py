@@ -24,6 +24,8 @@ from .errors import DataError
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
 
+ROW_DTYPE = np.dtype([("p", np.int64), ("q", np.int64), ("score", np.float64)])
+
 
 class SimilarityMatrix:
     """Symmetric (p, q) -> score map over n nodes at iteration index k.
@@ -42,17 +44,27 @@ class SimilarityMatrix:
         self._scores = np.zeros(size)
         self._na = np.zeros(size, dtype=bool)
         p = np.arange(n)
-        self._diag = p * n - p * (p - 1) // 2  # _idx(p, p) for every p
+        self._diag = p * n - p * (p - 1) // 2  # packed index of (p, p)
         self._scores[self._diag] = 1.0
 
-    def _idx(self, p: int, q: int) -> int:
-        # packed row-major upper triangle, diagonal included; caller sorts p <= q
-        return p * self.n - p * (p - 1) // 2 + (q - p)
+    def _idx(self, p, q):
+        # packed row-major upper triangle, diagonal included; p <= q, any shape
+        return self._diag[p] + (q - p)
 
-    def _key(self, p: int, q: int) -> tuple[int, int]:
+    def _pairs(self, idx: np.ndarray) -> np.ndarray:
+        # inverse of _idx: the (p, q) rows of packed indices, as a (k, 2) array
+        p = np.searchsorted(self._diag, idx, side="right") - 1
+        return np.column_stack([p, idx - self._diag[p] + p])
+
+    def _rows(self) -> Iterator[tuple[int, slice]]:
+        # the cells (p, p), (p, p+1), ..., (p, n-1) of row p are one slice
+        for p, lo in enumerate(self._diag.tolist()):
+            yield p, slice(lo, lo + self.n - p)
+
+    def _cell(self, p: int, q: int) -> int:
         if not (0 <= p < self.n and 0 <= q < self.n):
             raise ValueError(f"pair ({p}, {q}) out of range [0, {self.n})")
-        return (p, q) if p <= q else (q, p)
+        return self._idx(min(p, q), max(p, q))
 
     @classmethod
     def from_square(cls, square: np.ndarray, na: Optional[np.ndarray] = None,
@@ -66,33 +78,29 @@ class SimilarityMatrix:
         if square.shape != (n, n):
             raise ValueError("square score array required")
         m = cls(n, k=k, bounded=bounded)
-        iu = np.triu_indices(n)
-        m._scores = np.ascontiguousarray(square[iu], dtype=np.float64)
-        if na is not None:
-            m._na = np.ascontiguousarray(na[iu], dtype=bool)
+        for p, cells in m._rows():
+            m._scores[cells] = square[p, p:]
+            if na is not None:
+                m._na[cells] = na[p, p:]
         return m
 
     # -- element access ----------------------------------------------------
 
     def get(self, p: int, q: int) -> float:
         """Score for the unordered pair; N/A pairs read as 0.0."""
-        p, q = self._key(p, q)
-        i = self._idx(p, q)
+        i = self._cell(p, q)
         return 0.0 if self._na[i] else float(self._scores[i])
 
     def is_na(self, p: int, q: int) -> bool:
-        p, q = self._key(p, q)
-        return bool(self._na[self._idx(p, q)])
+        return bool(self._na[self._cell(p, q)])
 
     def set(self, p: int, q: int, value: float):
-        p, q = self._key(p, q)
-        i = self._idx(p, q)
+        i = self._cell(p, q)
         self._scores[i] = value
         self._na[i] = False
 
     def set_na(self, p: int, q: int):
-        p, q = self._key(p, q)
-        i = self._idx(p, q)
+        i = self._cell(p, q)
         self._na[i] = True
         self._scores[i] = 0.0
 
@@ -101,8 +109,7 @@ class SimilarityMatrix:
     def _row_index(self, p: int) -> np.ndarray:
         # packed index of the pair (p, q) for every q
         q = np.arange(self.n)
-        lo = np.minimum(p, q)
-        return lo * self.n - lo * (lo - 1) // 2 + np.abs(q - p)
+        return self._idx(np.minimum(p, q), np.maximum(p, q))
 
     def row_scores(self, p: int) -> np.ndarray:
         """All scores against p as a length-n array (N/A entries read 0.0)."""
@@ -116,21 +123,19 @@ class SimilarityMatrix:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
         return self._na[self._row_index(p)]
 
-    def dense_scores(self) -> np.ndarray:
-        """Full square score array; intended for desk-scale n."""
-        out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        vals = np.where(self._na, 0.0, self._scores)
-        out[iu] = vals
-        out[iu[1], iu[0]] = vals
+    def _square(self, packed: np.ndarray) -> np.ndarray:
+        # the symmetric n x n array holding packed[_idx(p, q)] at (p, q)
+        out = np.empty((self.n, self.n), dtype=packed.dtype)
+        for p, cells in self._rows():
+            out[p, p:] = out[p:, p] = packed[cells]
         return out
 
+    def dense_scores(self) -> np.ndarray:
+        """Full square score array; intended for desk-scale n."""
+        return self._square(np.where(self._na, 0.0, self._scores))
+
     def dense_na(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=bool)
-        iu = np.triu_indices(self.n)
-        out[iu] = self._na
-        out[iu[1], iu[0]] = self._na
-        return out
+        return self._square(self._na)
 
     def offdiag_packed(self) -> tuple[np.ndarray, np.ndarray]:
         """(scores, na) over the n·(n-1)/2 unordered off-diagonal pairs."""
@@ -146,11 +151,9 @@ class SimilarityMatrix:
     def _packed_rows_above(self, threshold: float) -> Iterator[tuple[int, list, list]]:
         # per p, from the packed triangle: the q >= p and the scores of the
         # non-N/A pairs scoring above threshold, one numpy pass per row
-        for p in range(self.n):
-            lo = self._idx(p, p)
-            hi = lo + self.n - p
-            scores = self._scores[lo:hi]
-            keep = np.flatnonzero(~self._na[lo:hi] & (scores > threshold))
+        for p, cells in self._rows():
+            scores = self._scores[cells]
+            keep = np.flatnonzero(~self._na[cells] & (scores > threshold))
             yield p, (keep + p).tolist(), scores[keep].tolist()
 
     def entries_above(self, threshold: float = 0.0) -> Iterator[tuple[int, int, float]]:
@@ -177,21 +180,55 @@ def write_matrix_csv(m: SimilarityMatrix, path, threshold: float = 0.0):
             fh.write((f"{p},%d,{SCORE_FORMAT}\n" * len(qs)) % tuple(values))
 
 
-def read_matrix_csv(path) -> list[tuple[int, int, float]]:
-    """Read rows written by :func:`write_matrix_csv`."""
-    rows = []
+def read_matrix_csv(path) -> np.ndarray:
+    """Read rows written by :func:`write_matrix_csv` into a structured array
+    of :data:`ROW_DTYPE`, in file order: ``for p, q, s in rows`` works."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["p", "q", "score"]:
             raise DataError(f"{path}: expected header 'p,q,score', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                rows.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed row {row}") from None
-    return rows
+
+        def parsed():
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 fields")
+                try:
+                    yield int(row[0]), int(row[1]), float(row[2])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: malformed row {row}") from None
+
+        try:
+            return np.fromiter(parsed(), dtype=ROW_DTYPE)
+        except OverflowError:
+            # the row just parsed holds an id that no int64 can hold
+            raise DataError(f"{path}:{reader.line_num}: id out of range") from None
+
+
+def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:
+    """(missing, unexpected, mismatched): the pairs, as ascending (k, 2)
+    arrays, where :func:`read_matrix_csv` rows and the float64 scores
+    ``write_matrix_csv(m, ...)`` exports disagree.  Raises DataError naming
+    ``source`` at the first row outside 0 <= p <= q < n or repeating a pair.
+    """
+    p, q = rows["p"], rows["q"]
+    outside = np.flatnonzero((p < 0) | (q < p) | (q >= m.n))
+    end = outside[0] if outside.size else len(rows)
+    idx = m._idx(p[:end], q[:end])
+    # stable sort: of equal cells, every one after the first is a repeat
+    order = np.argsort(idx, kind="stable")
+    repeats = order[1:][idx[order[1:]] == idx[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        raise DataError(f"{source}: duplicate pair ({p[i]}, {q[i]})")
+    if end < len(rows):
+        raise DataError(f"{source}: pair ({p[end]}, {q[end]}) out of range for n={m.n}")
+    found = np.zeros_like(m._na)
+    found[idx] = True
+    scores = np.zeros_like(m._scores)
+    scores[idx] = rows["score"]
+    exported = ~m._na & (m._scores > 0.0)
+    return tuple(m._pairs(np.flatnonzero(cells)) for cells in (
+        exported & ~found, found & ~exported, exported & found & (scores != m._scores)))

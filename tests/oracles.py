@@ -11,7 +11,8 @@ Two kinds, neither sharing code with the engine's matrix algebra:
   the engine must agree with them exactly.
 
 The score store has element-by-element references too: the CSV one line
-per pair, and rankings from a sorted list.
+per pair, the CSV check through dicts and sets of pairs, and rankings from
+a sorted list.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from citesim.errors import DataError
 from citesim.matrix import SCORE_FORMAT
 
 _ROW_FORMAT = f"%d,%d,{SCORE_FORMAT}\n"
@@ -348,6 +350,24 @@ def matrix_csv_reference(m, threshold=0.0):
             if not m.is_na(p, q) and m.get(p, q) > threshold:
                 lines.append(_ROW_FORMAT % (p, q, m.get(p, q)))
     return "".join(lines)
+
+
+def compare_rows_reference(m, rows, source):
+    """(missing, unexpected, mismatched) sorted pair lists of compare_rows,
+    one row at a time: DataError at the first row outside 0 <= p <= q < n
+    or repeating an earlier pair."""
+    expected = {(p, q): s for p, q, s in m.entries_above(0.0)}
+    actual = {}
+    for p, q, s in rows:
+        if not (0 <= p <= q < m.n):
+            raise DataError(f"{source}: pair ({p}, {q}) out of range for n={m.n}")
+        if (p, q) in actual:
+            raise DataError(f"{source}: duplicate pair ({p}, {q})")
+        actual[(p, q)] = s
+    missing = sorted(set(expected) - set(actual))
+    extra = sorted(set(actual) - set(expected))
+    changed = sorted(pq for pq in set(expected) & set(actual) if expected[pq] != actual[pq])
+    return missing, extra, changed
 
 
 def top_k_reference(m, query, count, zero_fill=True):

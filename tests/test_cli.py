@@ -98,6 +98,55 @@ def test_verify_catches_tampering(shared_files, tmp_path, capsys):
     assert "mismatch" in captured.err
 
 
+def _validate_rows(edge, meta, out, rows):
+    out.write_text("p,q,score\n" + "".join(f"{r}\n" for r in rows))
+    return main(["validate", "--graph", edge, "--meta", meta, "--measure", "crank",
+                 "--kmax", "8", "--epsilon", "1e-12", "--out", str(out)])
+
+
+def test_verify_rejects_bad_pairs_at_the_first_in_file_order(shared_files, tmp_path, capsys):
+    edge, meta = shared_files
+    out = tmp_path / "scores.csv"
+    assert main(_compute_argv(edge, meta, str(out))) == 0
+    rows = out.read_text().splitlines()[1:]
+    cases = [
+        (["3,10,0.5"], "pair (3, 10) out of range for n=10"),
+        (["-1,2,0.5"], "pair (-1, 2) out of range for n=10"),
+        (["5,2,0.5"], "pair (5, 2) out of range for n=10"),
+        ([rows[4]], "duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
+        ([rows[4], "5,2,0.5"], "duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
+        (["5,2,0.5", rows[4]], "pair (5, 2) out of range for n=10"),
+        (["99999999999999999999,1,0.5"], f"{out}:8: id out of range"),
+    ]
+    for added, message in cases:
+        assert _validate_rows(edge, meta, out, rows[:6] + added + rows[6:]) == 2, added
+        err = capsys.readouterr().err
+        assert message in err and "DataError" not in err, (added, err)
+
+
+def test_verify_lists_missing_then_unexpected_then_mismatched(shared_files, tmp_path, capsys):
+    edge, meta = shared_files
+    out = tmp_path / "scores.csv"
+    assert main(_compute_argv(edge, meta, str(out))) == 0
+    rows = out.read_text().splitlines()[1:]
+    pairs = [tuple(int(v) for v in r.split(",")[:2]) for r in rows]
+    exported = set(pairs)
+    missing = [pairs[i] for i in (9, 2, 5)]
+    unexpected = [(p, q) for p in range(10) for q in range(p, 10)
+                  if (p, q) not in exported][:3]
+    mismatched = [pairs[i] for i in (12, 1, 7, 3, 10)]
+    kept = [f"{p},{q},0.5" if (p, q) in mismatched else r
+            for (p, q), r in zip(pairs, rows) if (p, q) not in missing]
+    added = [f"{p},{q},0.25" for p, q in reversed(unexpected)]
+    assert _validate_rows(edge, meta, out, added + kept[::-1]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["missing_pairs"], report["unexpected_pairs"],
+            report["mismatched_scores"]) == (3, 3, 5)
+    expected = (sorted(missing) + sorted(unexpected) + sorted(mismatched))[:10]
+    assert captured.err.splitlines() == [f"mismatch at pair ({p}, {q})" for p, q in expected]
+
+
 def test_compute_matches_library_output(shared_files, tmp_path):
     edge, meta = shared_files
     cli_out = tmp_path / "cli.csv"

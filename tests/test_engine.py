@@ -60,6 +60,10 @@ def test_config_rejects_bad_values():
             MeasureConfig("crank", k_max=k_max)
     with pytest.raises(ConfigError):
         MeasureConfig("crank", epsilon=0.0)
+    for bad in ({"C": "x"}, {"C": None}, {"C": float("nan")}, {"lam": None},
+                {"lam": "0.5"}, {"epsilon": "1e-3"}, {"epsilon": None}):
+        with pytest.raises(ConfigError):
+            MeasureConfig("crank", **bad)
 
 
 def test_boundary_parameters_allowed():

@@ -143,3 +143,6 @@ def test_read_matrix_csv_rejects_garbage(tmp_path):
     path.write_text("p,q,score\n0,1\n")
     with pytest.raises(DataError, match=r":2:"):
         read_matrix_csv(path)
+    path.write_text("p,q,score\n0,1,0.5\n\n99999999999999999999,1,0.5\n")
+    with pytest.raises(DataError, match=r":4: id out of range"):
+        read_matrix_csv(path)

@@ -1,11 +1,14 @@
 """Property-based checks of the packed score store against element-by-element
-references: the CSV bytes, the row views and the top_k rankings."""
+references: the CSV bytes, the CSV check, the row views and the top_k
+rankings."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from citesim.engine import top_k
-from citesim.matrix import SimilarityMatrix, write_matrix_csv
+from citesim.errors import DataError
+from citesim.matrix import ROW_DTYPE, SimilarityMatrix, compare_rows, write_matrix_csv
 
 import oracles
 
@@ -58,3 +61,41 @@ def test_row_views_and_top_k_match_elementwise_references(sq, count, zero_fill, 
         query = data.draw(st.integers(min_value=0, max_value=m.n - 1))
         got = [(e.paper, e.score, e.zero_fill) for e in top_k(m, query, count, zero_fill)]
         assert got == oracles.top_k_reference(m, query, count, zero_fill)
+
+
+@st.composite
+def tampered_rows(draw, m):
+    """The rows write_matrix_csv(m) exports, then dropped, added (new or
+    repeated pairs, in or out of range), moved by one ulp and shuffled."""
+    rows = np.array(list(m.entries_above(0.0)), dtype=ROW_DTYPE)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = rows[rng.random(len(rows)) >= draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))]
+    moved = rng.random(len(rows)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rows["score"][moved] = np.nextafter(rows["score"][moved], np.inf)
+    extra = draw(st.lists(st.tuples(st.integers(-2, m.n + 1), st.integers(-2, m.n + 1),
+                                    st.sampled_from([0.0, 0.5, 1.0])), max_size=4))
+    extra = np.array(extra, dtype=ROW_DTYPE)
+    if draw(st.booleans()):
+        extra["q"] = np.maximum(extra["p"], extra["q"])  # mostly valid new pairs
+    repeats = draw(st.sampled_from([0, 1, 3])) if len(rows) else 0
+    rows = np.concatenate([rows, extra, rows[rng.choice(len(rows), size=repeats)]])
+    if draw(st.booleans()):
+        rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(squares(max_n=12), st.data())
+def test_compare_rows_matches_the_per_pair_reference(sq, data):
+    square, na = sq
+    m = SimilarityMatrix.from_square(square, na=na)
+    rows = data.draw(tampered_rows(m))
+    try:
+        want = oracles.compare_rows_reference(m, rows, "m.csv")
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            compare_rows(m, rows, "m.csv")
+        assert str(got.value) == str(exc)
+        return
+    got = compare_rows(m, rows, "m.csv")
+    assert [list(map(tuple, pairs.tolist())) for pairs in got] == list(want)
