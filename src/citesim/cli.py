@@ -10,13 +10,19 @@ One invocation, one command, file in, files out:
     citesim cases     --graph g.tsv --pairs pairs.tsv --out cases.csv
     citesim validate  --graph g.tsv [--measure crank --out scores.csv]
 
-Every command that writes a CSV also writes `<out>.summary.json` capturing
-the config, graph shape, and iteration report, so a run can be reproduced
-from its outputs alone.  `validate` without a measure checks and summarizes
-the graph; with a measure plus --out it recomputes the matrix and checks
-the named CSV against it pair by pair: every exported pair present once,
-no other pair, and each score equal as a parsed float64 (so `5e-1` passes
-where `0.5` was written).
+Every command loads the graph and starts one summary: the command, its
+input files, the thread count and the graph shape.  `compute`, `topk`,
+`histogram` and `validate --measure` each compute one matrix under the
+config their flags give (the numeric defaults are `MeasureConfig`'s);
+`eval` and `cases` score one config per measure, or only --measure's, and
+`trace` runs the iterations itself.  A command that writes a CSV writes the
+summary beside it as `<out>.summary.json`, with the config and any
+iteration report, so a run can be reproduced from its outputs alone.
+`validate` prints the summary instead.  Without a measure it checks and
+summarizes the graph; with a measure plus --out it checks the named CSV
+against the computed matrix pair by pair: every exported pair present
+once, no other pair, and each score equal as a parsed float64 (so `5e-1`
+passes where `0.5` was written).
 
 Exit status: 0 success, 1 usage or parameter problem, 2 unreadable or
 inconsistent data.
@@ -30,7 +36,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -38,46 +44,8 @@ import numpy as np
 from . import evaluate
 from .engine import MEASURES, NORMALIZATIONS, MeasureConfig, compute, top_k
 from .errors import ConfigError, DataError
-from .graph import load_graph_files
+from .graph import load_graph_files, read_tab_lines
 from .matrix import SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv
-
-DEFAULT_M = (10, 20, 30, 40, 50)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one invocation needs, validated at parse time."""
-
-    command: str
-    graph: str
-    meta: Optional[str] = None
-    out: Optional[str] = None
-    measure: Optional[str] = None
-    normalization: Optional[str] = None
-    C: float = 0.8
-    lam: float = 0.5
-    k_max: int = 10
-    epsilon: float = 1e-4
-    query: Optional[str] = None
-    count: int = 10
-    m_values: tuple = DEFAULT_M
-    corpus: Optional[str] = None
-    pairs: Optional[str] = None
-    threads: int = 1
-
-    def config(self, measure: Optional[str] = None) -> MeasureConfig:
-        return MeasureConfig(
-            measure=measure or self.measure,
-            normalization=self.normalization if measure is None else None,
-            C=self.C,
-            lam=self.lam,
-            k_max=self.k_max,
-            epsilon=self.epsilon,
-        )
-
-    def all_configs(self) -> list:
-        # one config per measure, each in its default normalization
-        return [self.config(measure=m) for m in MEASURES]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,17 +71,18 @@ def _m_list(text: str) -> tuple:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="citesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    default = {f.name: f.default for f in fields(MeasureConfig)}
 
     def add_common(p, out_required=True, measure_required=False):
         p.add_argument("--graph", required=True, help="edge-list file, citing<TAB>cited")
         p.add_argument("--meta", help="optional CSV: external_id,title,year")
         p.add_argument("--measure", choices=MEASURES, required=measure_required)
         p.add_argument("--normalization", choices=NORMALIZATIONS)
-        p.add_argument("--C", type=float, default=0.8, help="decay factor in [0,1]")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        p.add_argument("--C", type=float, default=default["C"], help="decay factor in [0,1]")
+        p.add_argument("--lambda", dest="lam", type=float, default=default["lam"],
                        help="in-link vs out-link weight in [0,1]")
-        p.add_argument("--kmax", dest="k_max", type=int, default=10)
-        p.add_argument("--epsilon", type=float, default=1e-4)
+        p.add_argument("--kmax", dest="k_max", type=int, default=default["k_max"])
+        p.add_argument("--epsilon", type=float, default=default["epsilon"])
         p.add_argument("--out", required=out_required, help="output CSV path")
         p.add_argument("--threads", type=int, default=1)
 
@@ -129,7 +98,7 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--corpus", required=True, help="[field] sections of external ids")
     p.add_argument("--m", dest="m_values", type=_m_list,
-                   default=DEFAULT_M, help="comma-separated m values")
+                   default=(10, 20, 30, 40, 50), help="comma-separated m values")
 
     p = sub.add_parser("histogram", help="score distribution with N/A bucket")
     add_common(p, measure_required=True)
@@ -147,15 +116,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunSpec:
+def _config(spec: argparse.Namespace, measure: Optional[str] = None) -> MeasureConfig:
+    """The flags' config; a named measure gets its default normalization."""
+    return MeasureConfig(
+        measure=measure or spec.measure,
+        normalization=spec.normalization if measure is None else None,
+        C=spec.C,
+        lam=spec.lam,
+        k_max=spec.k_max,
+        epsilon=spec.epsilon,
+    )
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line, validated; usage problems exit 1."""
     parser = _build_parser()
-    spec = RunSpec(**vars(parser.parse_args(argv)))
+    spec = parser.parse_args(argv)
     if spec.threads < 1:
         parser.error("--threads must be >= 1")
-    if spec.count < 1:
+    if spec.command == "topk" and spec.count < 1:
         parser.error("--count must be >= 1")
     try:
-        spec.config(None if spec.measure else "crank")  # no measure: vet the numbers
+        _config(spec, None if spec.measure else "crank")  # no measure: vet the numbers
     except ConfigError as exc:
         parser.error(str(exc))
     if spec.measure is None and spec.normalization is not None:
@@ -203,79 +185,62 @@ def _report_payload(report) -> Optional[dict]:
     }
 
 
-def _write_summary(out_path: str, payload: dict):
-    with open(f"{out_path}.summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_pairs(path, g) -> list:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'p<TAB>q<TAB>tag'")
-            p_ext, q_ext, tag = parts
-            if tag not in evaluate.CASE_TAGS:
-                raise DataError(
-                    f"{path}:{lineno}: unknown tag {tag!r} "
-                    f"(expected one of {', '.join(evaluate.CASE_TAGS)})"
-                )
-            pairs.append((g.id_of(p_ext), g.id_of(q_ext), tag))
+    for lineno, _, parts in read_tab_lines(path):
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'p<TAB>q<TAB>tag'")
+        p_ext, q_ext, tag = parts
+        if tag not in evaluate.CASE_TAGS:
+            raise DataError(
+                f"{path}:{lineno}: unknown tag {tag!r} "
+                f"(expected one of {', '.join(evaluate.CASE_TAGS)})"
+            )
+        pairs.append((g.id_of(p_ext), g.id_of(q_ext), tag))
     if not pairs:
         raise DataError(f"{path}: no case pairs found")
     return pairs
 
 
-def _dispatch(spec: RunSpec) -> int:
+def _write_topk(g, entries, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "external_id", "score", "zero_fill", "title"])
+        for rank, entry in enumerate(entries, start=1):
+            meta = g.meta[entry.paper]
+            writer.writerow([rank, meta.external_id, SCORE_FORMAT % entry.score,
+                             int(entry.zero_fill), meta.title])
+
+
+def _dispatch(spec: argparse.Namespace) -> int:
     g, load_report = load_graph_files(spec.graph, spec.meta)
-    base = {
+    summary = {
         "command": spec.command,
         "graph_file": spec.graph,
         "meta_file": spec.meta,
         "threads": spec.threads,
         "graph": _graph_payload(g, load_report),
     }
-
-    if spec.command == "compute":
-        cfg = spec.config()
-        mat, report = compute(g, cfg, spec.threads)
-        write_matrix_csv(mat, spec.out)
-        _write_summary(spec.out, {**base, "config": _config_payload(cfg),
-                                  "iteration": _report_payload(report),
-                                  "k": mat.k, "na_pairs": mat.na_count()})
+    if spec.command == "validate" and spec.measure is None:
+        text = json.dumps(summary, indent=2, sort_keys=True)
+        print(text)
+        if spec.out:
+            with open(spec.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
         return 0
 
-    if spec.command == "topk":
-        cfg = spec.config()
-        mat, report = compute(g, cfg, spec.threads)
-        qid = g.id_of(spec.query)
-        entries = top_k(mat, qid, spec.count)
-        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "external_id", "score", "zero_fill", "title"])
-            for rank, entry in enumerate(entries, start=1):
-                meta = g.meta[entry.paper]
-                writer.writerow([rank, meta.external_id, SCORE_FORMAT % entry.score,
-                                 int(entry.zero_fill), meta.title])
-        _write_summary(spec.out, {**base, "config": _config_payload(cfg),
-                                  "iteration": _report_payload(report),
-                                  "query": spec.query, "count": spec.count,
-                                  "returned": len(entries)})
-        return 0
+    if spec.command in ("eval", "cases"):
+        configs = [_config(spec)] if spec.measure else [_config(spec, m) for m in MEASURES]
+        summary["configs"] = [_config_payload(c) for c in configs]
+    else:
+        cfg = _config(spec)
+        summary["config"] = _config_payload(cfg)
 
     if spec.command == "eval":
         corpus, corpus_report = evaluate.load_corpus(spec.corpus, g)
-        configs = [spec.config()] if spec.measure else spec.all_configs()
         table = evaluate.run_benchmark(g, corpus, configs, spec.m_values, spec.threads)
         evaluate.write_precision_csv(table, spec.out)
-        _write_summary(spec.out, {
-            **base,
-            "configs": [_config_payload(c) for c in configs],
+        summary.update({
             "corpus_file": spec.corpus,
             "fields": {k: len(v) for k, v in sorted(corpus.fields.items())},
             "unresolved_ids": {k: list(v) for k, v in sorted(corpus_report.unresolved.items())},
@@ -283,60 +248,49 @@ def _dispatch(spec: RunSpec) -> int:
             "m_values": list(spec.m_values),
             "query_count": table.query_count,
         })
-        return 0
-
-    if spec.command == "histogram":
-        cfg = spec.config()
-        mat, report = compute(g, cfg, spec.threads)
-        hist = evaluate.score_histogram(mat)
-        evaluate.write_histogram_csv(hist, spec.out)
-        _write_summary(spec.out, {**base, "config": _config_payload(cfg),
-                                  "iteration": _report_payload(report),
-                                  "na_pairs": hist.na, "total_pairs": hist.total_pairs})
-        return 0
-
-    if spec.command == "trace":
-        cfg = spec.config()
-        points = evaluate.convergence_trace(g, cfg, spec.k_max, spec.threads)
-        evaluate.write_trace_csv(points, spec.out)
-        _write_summary(spec.out, {**base, "config": _config_payload(cfg),
-                                  "pairs_used": points[-1].pairs_used if points else 0})
-        return 0
-
-    if spec.command == "cases":
+    elif spec.command == "cases":
         pairs = _read_pairs(spec.pairs, g)
-        configs = [spec.config()] if spec.measure else spec.all_configs()
         table = evaluate.case_analysis(g, pairs, configs, spec.threads)
         evaluate.write_cases_csv(table, g, spec.out)
-        _write_summary(spec.out, {**base, "pairs_file": spec.pairs,
-                                  "configs": [_config_payload(c) for c in configs],
-                                  "pairs": len(pairs)})
-        return 0
+        summary.update({"pairs_file": spec.pairs, "pairs": len(pairs)})
+    elif spec.command == "trace":
+        points = evaluate.convergence_trace(g, cfg, spec.k_max, spec.threads)
+        evaluate.write_trace_csv(points, spec.out)
+        summary["pairs_used"] = points[-1].pairs_used if points else 0
+    else:  # compute, topk, histogram, validate --measure: one matrix
+        # an unknown query fails before the matrix is computed
+        qid = g.id_of(spec.query) if spec.command == "topk" else None
+        mat, report = compute(g, cfg, spec.threads)
+        if spec.command == "validate":
+            return _verify_matrix(mat, spec.out, summary)
+        summary["iteration"] = _report_payload(report)
+        if spec.command == "compute":
+            write_matrix_csv(mat, spec.out)
+            summary.update({"k": mat.k, "na_pairs": mat.na_count()})
+        elif spec.command == "topk":
+            entries = top_k(mat, qid, spec.count)
+            _write_topk(g, entries, spec.out)
+            summary.update({"query": spec.query, "count": spec.count,
+                            "returned": len(entries)})
+        else:
+            hist = evaluate.score_histogram(mat)
+            evaluate.write_histogram_csv(hist, spec.out)
+            summary.update({"na_pairs": hist.na, "total_pairs": hist.total_pairs})
 
-    if spec.command == "validate":
-        if spec.measure is None:
-            text = json.dumps(base, indent=2, sort_keys=True)
-            print(text)
-            if spec.out:
-                with open(spec.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            return 0
-        return _verify_matrix(spec, g, base)
-
-    raise ConfigError(f"unknown command {spec.command!r}")
+    with open(f"{spec.out}.summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
 
 
-def _verify_matrix(spec: RunSpec, g, base: dict) -> int:
-    """Recompute the matrix and compare a CSV export entry-for-entry."""
-    cfg = spec.config()
-    mat, _ = compute(g, cfg, spec.threads)
-    rows = read_matrix_csv(spec.out)
-    missing, extra, changed = diff = compare_rows(mat, rows, spec.out)
+def _verify_matrix(mat, path: str, summary: dict) -> int:
+    """Compare the CSV export at ``path`` with ``mat`` entry for entry."""
+    rows = read_matrix_csv(path)
+    missing, extra, changed = diff = compare_rows(mat, rows, path)
     first = np.concatenate(diff)[:10].tolist()  # missing, unexpected, mismatched
     print(json.dumps({
-        **base,
-        "config": _config_payload(cfg),
-        "matrix_file": spec.out,
+        **summary,
+        "matrix_file": path,
         "entries_checked": len(rows),
         "missing_pairs": len(missing),
         "unexpected_pairs": len(extra),
@@ -350,7 +304,7 @@ def _verify_matrix(spec: RunSpec, g, base: dict) -> int:
     return 0
 
 
-def run(spec: RunSpec) -> int:
+def run(spec: argparse.Namespace) -> int:
     try:
         return _dispatch(spec)
     except ConfigError as exc:

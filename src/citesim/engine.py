@@ -340,7 +340,7 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
                 shared *= _guarded_inverse(deg[:, None] + deg[None, :] - shared)
             scores = scores + w * shared
     np.fill_diagonal(scores, 1.0)
-    return SimilarityMatrix.from_square(_mirror(scores), k=0, bounded=cfg.bounded)
+    return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
 
 def _require(cfg: MeasureConfig, measure: str):

@@ -259,23 +259,28 @@ def load_graph(
 # -- file formats ----------------------------------------------------------
 
 
-def read_edge_list(path) -> Iterator[tuple[str, str]]:
-    """Yield (citing, cited) pairs from a tab-separated edge-list file.
-
-    One edge per line, ``citing<TAB>cited``; ``#`` lines are comments and
-    blank lines are skipped.  Anything else raises with the line number.
-    """
+def read_tab_lines(path) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield ``(lineno, line, fields)`` per tab-separated line, numbered from 1
+    and without its line ending; blank lines and ``#`` comments are skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'citing<TAB>cited', got {line!r}"
-                )
-            yield parts[0], parts[1]
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line, line.split("\t")
+
+
+def read_edge_list(path) -> Iterator[tuple[str, str]]:
+    """Yield (citing, cited) pairs from a tab-separated edge-list file.
+
+    One edge per line, ``citing<TAB>cited``, walked by :func:`read_tab_lines`;
+    any other line raises with its line number.
+    """
+    for lineno, line, parts in read_tab_lines(path):
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(
+                f"{path}:{lineno}: expected 'citing<TAB>cited', got {line!r}"
+            )
+        yield parts[0], parts[1]
 
 
 def read_metadata(path) -> list[PaperMeta]:

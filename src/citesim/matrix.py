@@ -71,8 +71,8 @@ class SimilarityMatrix:
                     k: int = 0, bounded: bool = True) -> "SimilarityMatrix":
         """Pack a full square score array (and optional N/A mask).
 
-        Only the upper triangle including the diagonal is read; the caller
-        is responsible for having symmetrized the square input first.
+        Only the upper triangle including the diagonal is read, so the
+        lower triangle need not be filled or symmetrized.
         """
         n = square.shape[0]
         if square.shape != (n, n):

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import citesim
-from citesim import fixtures
+from citesim import cli, fixtures
 from citesim.cli import main
-from citesim.engine import MeasureConfig, compute
+from citesim.engine import MEASURES, MeasureConfig, compute
 from citesim.evaluate import convergence_trace
 from citesim.graph import load_graph_files
 from citesim.matrix import SCORE_FORMAT, write_matrix_csv
@@ -252,10 +252,15 @@ def test_data_problems_exit_2(shared_files, tmp_path, capsys):
     capsys.readouterr()
 
     pairs = tmp_path / "pairs.tsv"
-    pairs.write_text("a\tb\tP7\n")
-    assert main(["cases", "--graph", edge, "--meta", meta,
-                 "--pairs", str(pairs), "--out", out]) == 2
-    assert "P7" in capsys.readouterr().err
+    for text, message in [
+        ("a\tb\tP7\n", f"{pairs}:1: unknown tag 'P7' (expected one of P1, P2, P3)"),
+        ("# key\n\na\tb\tP1\r\nc\td\n", f"{pairs}:4: expected 'p<TAB>q<TAB>tag'"),
+        ("# only a comment\n\n", f"{pairs}: no case pairs found"),
+    ]:
+        pairs.write_text(text)
+        assert main(["cases", "--graph", edge, "--meta", meta,
+                     "--pairs", str(pairs), "--out", out]) == 2
+        assert capsys.readouterr().err == f"citesim: error: {message}\n"
 
 
 def test_help_exits_0(capsys):
@@ -361,6 +366,74 @@ def test_cases_command(gap_files, tmp_path):
     assert main(["cases", "--graph", edge, "--meta", meta, "--pairs", str(pairs),
                  "--measure", "simrank", "--out", str(single)]) == 0
     assert len(single.read_text().splitlines()) == 1 + 3
+
+
+# -- one summary per command -------------------------------------------------
+
+BASE_KEYS = {"command", "graph_file", "meta_file", "threads", "graph"}
+CONFIG_KEYS = {"measure", "normalization", "C", "lambda", "k_max", "epsilon"}
+
+
+def test_summary_key_sets_per_command(gap_files, tmp_path, capsys):
+    edge, meta = gap_files
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("[old]\na\nb\nc\n[new]\nk\nl\n")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\tP1\nk\tl\tP2\n")
+    G = ["--graph", edge, "--meta", meta]
+    runs = {
+        "compute": (["--measure", "crank"], {"config", "iteration", "k", "na_pairs"}),
+        "topk": (["--measure", "crank", "--query", "e"],
+                 {"config", "iteration", "query", "count", "returned"}),
+        "eval": (["--corpus", str(corpus), "--m", "2"],
+                 {"configs", "corpus_file", "fields", "unresolved_ids",
+                  "dropped_fields", "m_values", "query_count"}),
+        "histogram": (["--measure", "simrank"], {"config", "iteration", "na_pairs", "total_pairs"}),
+        "trace": (["--measure", "crank", "--kmax", "3"], {"config", "pairs_used"}),
+        "cases": (["--pairs", str(pairs)], {"configs", "pairs_file", "pairs"}),
+    }
+    for command, (extra, keys) in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *G, *extra, "--out", str(out)]) == 0, command
+        payload = json.loads((tmp_path / f"{command}.csv.summary.json").read_text())
+        assert set(payload) == BASE_KEYS | keys, command
+        assert payload["command"] == command
+        for cfg in payload.get("configs", [payload.get("config")]):
+            assert set(cfg) == CONFIG_KEYS, command
+    assert capsys.readouterr().out == ""
+
+    assert main(["validate", *G]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == BASE_KEYS
+    assert main(["validate", *G, "--measure", "crank", "--out", str(tmp_path / "compute.csv")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == BASE_KEYS | {"config", "matrix_file", "entries_checked", "missing_pairs",
+                                       "unexpected_pairs", "mismatched_scores", "verified"}
+    assert set(report["config"]) == CONFIG_KEYS and report["verified"] is True
+
+
+def test_compute_records_the_measure_config_defaults(shared_files, tmp_path):
+    edge, meta = shared_files
+    for measure in MEASURES:
+        out = tmp_path / f"{measure}.csv"
+        assert main(["compute", "--graph", edge, "--meta", meta, "--measure", measure,
+                     "--out", str(out)]) == 0
+        recorded = json.loads((tmp_path / f"{measure}.csv.summary.json").read_text())["config"]
+        cfg = MeasureConfig(measure)
+        assert recorded == {"measure": measure, "normalization": cfg.normalization, "C": cfg.C,
+                            "lambda": cfg.lam, "k_max": cfg.k_max, "epsilon": cfg.epsilon}
+
+
+def test_topk_rejects_an_unknown_query_before_computing(shared_files, tmp_path, capsys,
+                                                         monkeypatch):
+    edge, meta = shared_files
+    calls = []
+    monkeypatch.setattr(cli, "compute", lambda *args: calls.append(args))
+    out = tmp_path / "top.csv"
+    assert main(["topk", "--graph", edge, "--meta", meta, "--measure", "crank",
+                 "--query", "zz", "--out", str(out)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "citesim: error: unknown paper id 'zz'\n"
+    assert not out.exists() and not (tmp_path / "top.csv.summary.json").exists()
 
 
 def test_module_entry_point(shared_files, tmp_path):

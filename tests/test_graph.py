@@ -9,6 +9,7 @@ from citesim.graph import (
     load_graph,
     load_graph_files,
     read_edge_list,
+    read_tab_lines,
     read_metadata,
 )
 
@@ -195,6 +196,16 @@ def test_read_edge_list(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("# comment\nA\tB\n\nB\tC\n")
     assert list(read_edge_list(path)) == [("A", "B"), ("B", "C")]
+
+
+def test_read_tab_lines_numbers_every_line_and_skips_blanks_and_comments(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"# head\nA\tB\r\n\n  \t \n  # indented\nC\t\tE\nF\n")
+    assert list(read_tab_lines(path)) == [
+        (2, "A\tB", ["A", "B"]),
+        (6, "C\t\tE", ["C", "", "E"]),
+        (7, "F", ["F"]),
+    ]
 
 
 def test_read_edge_list_reports_line_number(tmp_path):

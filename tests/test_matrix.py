@@ -26,6 +26,8 @@ def test_from_square_round_trip():
     m = SimilarityMatrix.from_square(square, k=3)
     assert m.k == 3
     assert np.array_equal(m.dense_scores(), square)
+    # only the upper triangle is read: a's lower one is unrelated to it
+    assert np.array_equal(SimilarityMatrix.from_square(a).dense_scores(), square)
 
 
 def test_na_reads_zero_but_is_flagged():
