@@ -65,6 +65,8 @@ def _m_list(text: str) -> tuple:
         ) from None
     if not values:
         raise argparse.ArgumentTypeError("at least one m value required")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"m values must be >= 1, got {min(values)}")
     return values
 
 
@@ -213,6 +215,9 @@ def _write_topk(g, entries, path):
 
 
 def _dispatch(spec: argparse.Namespace) -> int:
+    if spec.command == "histogram" and not _config(spec).bounded:
+        # refused before the graph is read, not after the matrix is computed
+        raise ConfigError(evaluate.UNBOUNDED_HISTOGRAM)
     g, load_report = load_graph_files(spec.graph, spec.meta)
     summary = {
         "command": spec.command,

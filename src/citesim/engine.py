@@ -39,7 +39,9 @@ The pairwise recursions keep one float per unordered pair, S[p, q] for
 p < q, and :func:`_mirror` discards the other triangle.  So their second
 product is summed, scaled and added up over the lower triangle of S.T only
 (for rows r0:r1, columns :r1): each kept element is the same sum as over
-the full square, at about half the work.
+the full square, at about half the work.  The Jaccard recursion needs no
+mirror: its union counts are exact, so its second cross weight is the first
+one's transpose bit for bit, and its update is exactly symmetric as summed.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -314,7 +316,8 @@ def _mirror(a: np.ndarray) -> np.ndarray:
     # One canonical float per unordered pair: the upper-triangle value wins
     # (pass a.T to let the lower one win).  The two float expressions for
     # (p,q) and (q,p) agree only to rounding, and the storage contract is
-    # exact symmetry.  Works in place.
+    # exact symmetry.  Works in place.  Callers: the pairwise step (the lower
+    # triangle wins) and iteration_scores' ``initial`` (the upper one wins).
     for p in range(1, a.shape[0]):
         a[p, :p] = a[:p, p]
     return a
@@ -412,7 +415,6 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         jac = inter * inv_union
         inv_deg = _guarded_inverse(deg)
         w1 = inv_union * inv_deg[None, :]  # 1 / (|L u| * |L(q)|)
-        w2 = inv_union * inv_deg[:, None]  # 1 / (|L u| * |L(p)|)
         del inter, inv_union
         nonzeros = (np.repeat(np.arange(n), np.diff(und[0])), und[1])
 
@@ -427,14 +429,13 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
             _spmm(plan, prev, gsum.T, each_block)
             gsum[nonzeros] = 0.0
             s1 = _spmm(plan, gsum, np.empty((n, n)), each_block)
-            # C * (jac + (w1 * S1 + w2 * S1.T)), rounded in that order
-            cross = np.multiply(w2, s1.T, out=gsum)
+            # C * (jac + (w1 * S1 + (w1 * S1).T)), rounded in that order
             s1 *= w1
-            s1 += cross
-            s1 += jac
-            s1 *= C
-            np.fill_diagonal(s1, 1.0)
-            return _mirror(s1)
+            out = np.add(s1, s1.T, out=gsum)
+            out += jac
+            out *= C
+            np.fill_diagonal(out, 1.0)
+            return out
 
         return step
 
@@ -499,9 +500,8 @@ def iteration_scores(
     with _block_pool(threads, g.n) as each_block:
         step = _make_step(g, cfg, each_block)
         for k in range(1, cfg.k_max + 1):
-            cur = step(prev)
-            yield k, cur
-            prev = cur
+            prev = step(prev)
+            yield k, prev
 
 
 def _run_iterations(g, cfg, threads):
@@ -509,7 +509,6 @@ def _run_iterations(g, cfg, threads):
     deltas = []
     converged = False
     prev = np.eye(g.n)
-    cur = prev
     with closing(iteration_scores(g, cfg, threads)) as steps:
         for _, cur in steps:
             delta = float(np.max(np.abs(cur - prev))) if cur.size else 0.0
@@ -519,7 +518,7 @@ def _run_iterations(g, cfg, threads):
                 converged = True
                 break
     k_run = len(deltas)
-    m = SimilarityMatrix.from_square(cur, na=na, k=k_run, bounded=True)
+    m = SimilarityMatrix.from_square(prev, na=na, k=k_run, bounded=True)
     return m, IterationReport(k_run, converged, tuple(deltas))
 
 

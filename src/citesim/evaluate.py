@@ -17,12 +17,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .engine import MeasureConfig, compute, iteration_scores, na_mask, top_k
-from .graph import CitationGraph
+from .graph import CitationGraph, read_tab_lines
 from .matrix import SCORE_FORMAT, SimilarityMatrix
 
 # Tag vocabulary for hard-pair tables: P1 = both papers old, P2 = both
 # recent, P3 = old paired with recent across a bridge chain.
 CASE_TAGS = ("P1", "P2", "P3")
+
+UNBOUNDED_HISTOGRAM = "histogram requires [0,1] scores; raw counts are unbounded"
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class CorpusReport:
 
 
 def load_corpus(path, g: CitationGraph) -> tuple[EvalCorpus, CorpusReport]:
-    """Read `[field-name]` sections of external paper ids.
+    """Read `[field-name]` sections of external paper ids, one per line,
+    under the edge list's line rules (:func:`read_tab_lines`), each stripped.
 
     Ids missing from the graph are excluded and listed in the report, never
     silently kept.  Fields left with fewer than 2 resolved papers cannot
@@ -54,23 +57,20 @@ def load_corpus(path, g: CitationGraph) -> tuple[EvalCorpus, CorpusReport]:
     """
     raw: dict[str, list[str]] = {}
     current: Optional[str] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                if not name:
-                    raise DataError(f"{path}:{lineno}: empty field name")
-                if name in raw:
-                    raise DataError(f"{path}:{lineno}: duplicate field {name!r}")
-                raw[name] = []
-                current = name
-            elif current is None:
-                raise DataError(f"{path}:{lineno}: paper id before any [field] header")
-            else:
-                raw[current].append(line)
+    for lineno, line, _ in read_tab_lines(path):
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if not name:
+                raise DataError(f"{path}:{lineno}: empty field name")
+            if name in raw:
+                raise DataError(f"{path}:{lineno}: duplicate field {name!r}")
+            raw[name] = []
+            current = name
+        elif current is None:
+            raise DataError(f"{path}:{lineno}: paper id before any [field] header")
+        else:
+            raw[current].append(line)
 
     unresolved: dict[str, tuple] = {}
     dropped = []
@@ -177,7 +177,7 @@ def score_histogram(m: SimilarityMatrix) -> Histogram:
     contract.
     """
     if not m.bounded:
-        raise ConfigError("histogram requires [0,1] scores; raw counts are unbounded")
+        raise ConfigError(UNBOUNDED_HISTOGRAM)
     scores, na = m.offdiag_packed()
     edges = np.arange(1, 10) / 10.0
     idx = np.searchsorted(edges, scores[~na], side="right")

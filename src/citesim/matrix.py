@@ -148,17 +148,20 @@ class SimilarityMatrix:
         _, na = self.offdiag_packed()
         return int(na.sum())
 
-    def _packed_rows_above(self, threshold: float) -> Iterator[tuple[int, list, list]]:
-        # per p, from the packed triangle: the q >= p and the scores of the
-        # non-N/A pairs scoring above threshold, one numpy pass per row
-        for p, cells in self._rows():
-            scores = self._scores[cells]
-            keep = np.flatnonzero(~self._na[cells] & (scores > threshold))
-            yield p, (keep + p).tolist(), scores[keep].tolist()
+    def _exported(self) -> np.ndarray:
+        # packed flags of the pairs a matrix CSV holds: not N/A, score > 0
+        return ~self._na & (self._scores > 0.0)
 
-    def entries_above(self, threshold: float = 0.0) -> Iterator[tuple[int, int, float]]:
-        """Yield (p, q, score) for p <= q, non-N/A, score > threshold."""
-        for p, qs, scores in self._packed_rows_above(threshold):
+    def _exported_rows(self) -> Iterator[tuple[int, list, list]]:
+        # per p: the q >= p and the scores of its exported pairs
+        exported = self._exported()
+        for p, cells in self._rows():
+            keep = np.flatnonzero(exported[cells])
+            yield p, (keep + p).tolist(), self._scores[cells][keep].tolist()
+
+    def entries_above(self) -> Iterator[tuple[int, int, float]]:
+        """Yield (p, q, score) for each row :func:`write_matrix_csv` writes."""
+        for p, qs, scores in self._exported_rows():
             yield from zip(repeat(p), qs, scores)
 
     def same_bits(self, other: "SimilarityMatrix") -> bool:
@@ -168,11 +171,11 @@ class SimilarityMatrix:
                 and np.array_equal(self._na, other._na))
 
 
-def write_matrix_csv(m: SimilarityMatrix, path, threshold: float = 0.0):
-    """Write `p,q,score` rows (p <= q, score > threshold, N/A omitted)."""
+def write_matrix_csv(m: SimilarityMatrix, path):
+    """Write `p,q,score` rows (p <= q, score > 0, N/A omitted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,q,score\n")
-        for p, qs, scores in m._packed_rows_above(threshold):
+        for p, qs, scores in m._exported_rows():
             # one % per matrix row, over its (q, score) pairs interleaved
             values = [None] * (2 * len(qs))
             values[::2] = qs
@@ -229,6 +232,6 @@ def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:
     found[idx] = True
     scores = np.zeros_like(m._scores)
     scores[idx] = rows["score"]
-    exported = ~m._na & (m._scores > 0.0)
+    exported = m._exported()
     return tuple(m._pairs(np.flatnonzero(cells)) for cells in (
         exported & ~found, found & ~exported, exported & found & (scores != m._scores)))

@@ -341,13 +341,13 @@ def einsum_step(g, cfg, threads=1):
 # -- element-by-element score store references ---------------------------------
 
 
-def matrix_csv_reference(m, threshold=0.0):
+def matrix_csv_reference(m):
     """What write_matrix_csv writes: the header, then one _ROW_FORMAT line
-    per pair p <= q that is not N/A and scores above threshold, by p then q."""
+    per pair p <= q that is not N/A and scores above 0, by p then q."""
     lines = ["p,q,score\n"]
     for p in range(m.n):
         for q in range(p, m.n):
-            if not m.is_na(p, q) and m.get(p, q) > threshold:
+            if not m.is_na(p, q) and m.get(p, q) > 0.0:
                 lines.append(_ROW_FORMAT % (p, q, m.get(p, q)))
     return "".join(lines)
 
@@ -356,7 +356,7 @@ def compare_rows_reference(m, rows, source):
     """(missing, unexpected, mismatched) sorted pair lists of compare_rows,
     one row at a time: DataError at the first row outside 0 <= p <= q < n
     or repeating an earlier pair."""
-    expected = {(p, q): s for p, q, s in m.entries_above(0.0)}
+    expected = {(p, q): s for p, q, s in m.entries_above()}
     actual = {}
     for p, q, s in rows:
         if not (0 <= p <= q < m.n):

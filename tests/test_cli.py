@@ -222,6 +222,20 @@ def test_usage_problems_exit_1(shared_files, tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_nonpositive_m_is_a_usage_error(shared_files, tmp_path, capsys):
+    edge, meta = shared_files
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("[alpha]\na\nb\n")
+    out = tmp_path / "p.csv"
+    for m_text, bad in (("0", "0"), ("10,-5", "-5")):
+        assert main(["eval", "--graph", edge, "--meta", meta, "--corpus", str(corpus),
+                     "--m", m_text, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: citesim eval ")
+        assert err.endswith(f"error: argument --m: m values must be >= 1, got {bad}\n")
+    assert not out.exists() and not (tmp_path / "p.csv.summary.json").exists()
+
+
 def test_usage_error_names_the_flag(shared_files, tmp_path, capsys):
     edge, meta = shared_files
     argv = ["compute", "--graph", edge, "--measure", "crank",
@@ -331,6 +345,22 @@ def test_histogram_rejects_raw_counts(shared_files, tmp_path, capsys):
     assert main(["histogram", "--graph", edge, "--meta", meta, "--measure",
                  "cocitation", "--out", str(tmp_path / "h.csv")]) == 1
     assert "raw" in capsys.readouterr().err
+
+
+def test_histogram_rejects_raw_counts_before_reading_the_graph(shared_files, tmp_path,
+                                                               capsys, monkeypatch):
+    edge, meta = shared_files
+    calls = []
+    monkeypatch.setattr(cli, "load_graph_files", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "compute", lambda *args: calls.append(args))
+    out = tmp_path / "h.csv"
+    for measure in ("cocitation", "coupling", "amsler"):
+        assert main(["histogram", "--graph", edge, "--meta", meta, "--measure",
+                     measure, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "citesim: error: histogram requires [0,1] scores; raw counts are unbounded\n")
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "h.csv.summary.json").exists()
 
 
 def test_trace_command_matches_library(shared_files, tmp_path):

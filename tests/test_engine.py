@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -423,3 +424,20 @@ def test_iteration_csv(tmp_path, shared_graph):
     assert lines[0] == "iteration,max_delta"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == report.max_delta_per_iteration[0]
+
+
+def test_compute_peak_memory_in_squares():
+    # tracemalloc peak of one compute at n=600, in n x n float64 squares
+    n = 600
+    cases = [
+        ("crank", fixtures.random_graph(n, 5 / n, 1), 7.0),
+        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 5.0),
+    ]
+    for measure, g, limit in cases:
+        tracemalloc.start()
+        try:
+            compute(g, MeasureConfig(measure), threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= limit, measure

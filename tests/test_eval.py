@@ -77,6 +77,22 @@ def test_load_corpus_structural_errors(tmp_path, shared_graph):
         load_corpus(_write_corpus(tmp_path, "[]\na\nb\n"), shared_graph)
 
 
+def test_load_corpus_shares_the_edge_list_line_rules(tmp_path, shared_graph):
+    plain = _write_corpus(tmp_path, "[alpha]\na\nb\nc\n[beta]\nd\ne\n", "plain.txt")
+    messy = tmp_path / "messy.txt"
+    messy.write_bytes(b"  # indented comment\r\n[alpha]\r\na\r\n \t \r\nb\r\n"
+                      b"  c  \r\n\r\n[beta]\r\nd\r\ne\r\n")
+    want, _ = load_corpus(plain, shared_graph)
+    got, report = load_corpus(messy, shared_graph)
+    assert got.fields == want.fields
+    assert report.unresolved == {} and report.dropped_fields == ()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# key\r\n\r\n \t \r\n  zz\r\n[alpha]\r\na\r\nb\r\n")
+    with pytest.raises(DataError) as exc:
+        load_corpus(bad, shared_graph)
+    assert str(exc.value) == f"{bad}:4: paper id before any [field] header"
+
+
 # -- precision ---------------------------------------------------------------
 
 

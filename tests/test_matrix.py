@@ -69,17 +69,18 @@ def test_offdiag_packed_shape_and_content():
     assert m.na_count() == 1
 
 
-def test_entries_above_skips_na_and_threshold():
+def test_entries_above_skips_na_and_zero():
     m = SimilarityMatrix(4)
     m.set(0, 1, 0.5)
     m.set(0, 2, 0.05)
     m.set_na(1, 2)
-    rows = list(m.entries_above(0.1))
-    # four diagonal ones plus the single pair above threshold
+    rows = list(m.entries_above())
+    # four diagonal ones plus the two positive pairs; zeros and N/A skipped
     assert (0, 1, 0.5) in rows
-    assert all(s > 0.1 for _, _, s in rows)
+    assert (0, 2, 0.05) in rows
+    assert all(s > 0.0 for _, _, s in rows)
     assert (1, 2) not in {(p, q) for p, q, _ in rows}
-    assert len(rows) == 5
+    assert len(rows) == 6
 
 
 def test_out_of_range_pairs_rejected():
@@ -122,14 +123,13 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert rows[(p, p)] == 1.0
 
 
-def test_csv_threshold_and_na(tmp_path):
+def test_csv_skips_na_and_zero(tmp_path):
     m = SimilarityMatrix(3)
-    m.set(0, 1, 0.5)
     m.set_na(0, 2)
     path = tmp_path / "m.csv"
-    write_matrix_csv(m, path, threshold=0.6)
+    write_matrix_csv(m, path)
     pairs = {(p, q) for p, q, _ in read_matrix_csv(path)}
-    assert (0, 1) not in pairs  # below threshold
+    assert (0, 1) not in pairs  # zero score
     assert (0, 2) not in pairs  # N/A never exported
     assert pairs == {(0, 0), (1, 1), (2, 2)}
 
