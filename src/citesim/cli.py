@@ -33,10 +33,9 @@ comments; tags are P1 (old-old pair), P2 (recent-recent), P3 (old-recent).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -45,7 +44,7 @@ from . import evaluate
 from .engine import MEASURES, NORMALIZATIONS, MeasureConfig, compute, top_k
 from .errors import ConfigError, DataError
 from .graph import load_graph_files, read_tab_lines
-from .matrix import SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv
+from .matrix import SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,24 +166,9 @@ def _graph_payload(g, load_report) -> dict:
 
 
 def _config_payload(cfg: MeasureConfig) -> dict:
-    return {
-        "measure": cfg.measure,
-        "normalization": cfg.normalization,
-        "C": cfg.C,
-        "lambda": cfg.lam,
-        "k_max": cfg.k_max,
-        "epsilon": cfg.epsilon,
-    }
-
-
-def _report_payload(report) -> Optional[dict]:
-    if report is None:
-        return None
-    return {
-        "iterations_run": report.iterations_run,
-        "converged": report.converged,
-        "max_delta_per_iteration": list(report.max_delta_per_iteration),
-    }
+    payload = asdict(cfg)
+    payload["lambda"] = payload.pop("lam")
+    return payload
 
 
 def _read_pairs(path, g) -> list:
@@ -205,13 +189,9 @@ def _read_pairs(path, g) -> list:
 
 
 def _write_topk(g, entries, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "external_id", "score", "zero_fill", "title"])
-        for rank, entry in enumerate(entries, start=1):
-            meta = g.meta[entry.paper]
-            writer.writerow([rank, meta.external_id, SCORE_FORMAT % entry.score,
-                             int(entry.zero_fill), meta.title])
+    write_table(path, ["rank", "external_id", "score", "zero_fill", "title"], (
+        [rank, g.meta[e.paper].external_id, SCORE_FORMAT % e.score, int(e.zero_fill),
+         g.meta[e.paper].title] for rank, e in enumerate(entries, start=1)))
 
 
 def _dispatch(spec: argparse.Namespace) -> int:
@@ -268,7 +248,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
         mat, report = compute(g, cfg, spec.threads)
         if spec.command == "validate":
             return _verify_matrix(mat, spec.out, summary)
-        summary["iteration"] = _report_payload(report)
+        summary["iteration"] = None if report is None else asdict(report)
         if spec.command == "compute":
             write_matrix_csv(mat, spec.out)
             summary.update({"k": mat.k, "na_pairs": mat.na_count()})

@@ -236,8 +236,11 @@ def _block_pool(threads: int, n: int):
     shared queue: a helper that wakes late takes fewer blocks instead of
     holding the product up.  With no helpers the executor starts no thread
     and the calling thread takes every block.  The executor is shut down
-    when the ``with`` block ends.
+    when the ``with`` block ends.  A ``threads`` that is not an integer
+    >= 1 raises :class:`ConfigError`.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
 
@@ -410,12 +413,10 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         und = g.csr(view)
         deg = _degrees(und)
         plan = _plan((und,))
-        inter = _shared_counts(und, each_block)  # |L(p) & L(q)|
-        inv_union = _guarded_inverse(deg[:, None] + deg[None, :] - inter)
-        jac = inter * inv_union
-        inv_deg = _guarded_inverse(deg)
-        w1 = inv_union * inv_deg[None, :]  # 1 / (|L u| * |L(q)|)
-        del inter, inv_union
+        jac = _shared_counts(und, each_block)  # |L(p) & L(q)|
+        w1 = _guarded_inverse(deg[:, None] + deg[None, :] - jac)  # 1 / |L u|
+        jac *= w1
+        w1 *= _guarded_inverse(deg)[None, :]  # 1 / (|L u| * |L(q)|)
         nonzeros = (np.repeat(np.arange(n), np.diff(und[0])), und[1])
 
         def step(prev: np.ndarray) -> np.ndarray:
@@ -504,22 +505,27 @@ def iteration_scores(
             yield k, prev
 
 
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two squares (0.0 when empty), one row block at a time
+    so that no n x n difference is held; a NaN propagates."""
+    return float(np.max([np.max(np.abs(a[r:r + _BLOCK_ROWS] - b[r:r + _BLOCK_ROWS]))
+                         for r in range(0, a.shape[0], _BLOCK_ROWS)], initial=0.0))
+
+
 def _run_iterations(g, cfg, threads):
     na = na_mask(g, cfg)
     deltas = []
-    converged = False
-    prev = np.eye(g.n)
+    prev = None
     with closing(iteration_scores(g, cfg, threads)) as steps:
         for _, cur in steps:
-            delta = float(np.max(np.abs(cur - prev))) if cur.size else 0.0
-            deltas.append(delta)
+            # the identity start, built once the generator has let go of its own
+            deltas.append(_max_abs_diff(cur, np.eye(g.n) if prev is None else prev))
             prev = cur
-            if delta < cfg.epsilon:
-                converged = True
+            if deltas[-1] < cfg.epsilon:
                 break
     k_run = len(deltas)
     m = SimilarityMatrix.from_square(prev, na=na, k=k_run, bounded=True)
-    return m, IterationReport(k_run, converged, tuple(deltas))
+    return m, IterationReport(k_run, deltas[-1] < cfg.epsilon, tuple(deltas))
 
 
 def iterate_pairwise(
@@ -564,18 +570,19 @@ def converge(
     One driver serves all four recursions; it builds the update for the
     measure and normalization that :class:`MeasureConfig` has validated.
     The result is the one :func:`crank_jaccard` or :func:`iterate_pairwise`
-    gives for cfg; only this entry point warns that C=1 gives no decay.
+    gives for cfg; only this entry point and :func:`compute` warn that C=1
+    gives no decay.
     """
     if not cfg.iterative:
         raise ConfigError(f"{cfg.measure} does not iterate; call compute instead")
-    if cfg.C == 1.0:
-        warnings.warn(
-            "C=1 gives no decay: the fixed point need not be unique and "
-            "convergence is not guaranteed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_if_no_decay(cfg)
     return _run_iterations(g, cfg, threads)
+
+
+def _warn_if_no_decay(cfg: MeasureConfig):
+    if cfg.C == 1.0:  # stacklevel 3 names the line that called converge or compute
+        warnings.warn("C=1 gives no decay: the fixed point need not be unique and "
+                      "convergence is not guaranteed", RuntimeWarning, stacklevel=3)
 
 
 def compute(
@@ -583,7 +590,8 @@ def compute(
 ) -> tuple[SimilarityMatrix, Optional[IterationReport]]:
     """Run any configured measure; the report is None for one-shot measures."""
     if cfg.iterative:
-        return converge(g, cfg, threads)
+        _warn_if_no_decay(cfg)
+        return _run_iterations(g, cfg, threads)
     return _one_shot(g, cfg, threads), None
 
 
@@ -703,10 +711,7 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
 
 
 def _chain_check(name, mats, tol):
-    diff = 0.0
-    for a, b in zip(mats, mats[1:]):
-        d = float(np.max(np.abs(a - b))) if a.size else 0.0
-        diff = max(diff, d)
+    diff = float(np.max([_max_abs_diff(a, b) for a, b in zip(mats, mats[1:])]))
     return IdentityCheck(name, diff, tol, diff <= tol)
 
 

@@ -8,7 +8,6 @@ traces, and a score table for hand-tagged hard pairs.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .engine import MeasureConfig, compute, iteration_scores, na_mask, top_k
 from .graph import CitationGraph, read_tab_lines
-from .matrix import SCORE_FORMAT, SimilarityMatrix
+from .matrix import SCORE_FORMAT, SimilarityMatrix, write_table
 
 # Tag vocabulary for hard-pair tables: P1 = both papers old, P2 = both
 # recent, P3 = old paired with recent across a bridge chain.
@@ -271,37 +270,22 @@ def case_analysis(
 
 
 def write_precision_csv(table: PrecisionTable, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "m", "precision"])
-        for (label, m), value in sorted(table.rows.items()):
-            writer.writerow([label, m, SCORE_FORMAT % value])
+    write_table(path, ["measure", "m", "precision"],
+                ([label, m, SCORE_FORMAT % value]
+                 for (label, m), value in sorted(table.rows.items())))
 
 
 def write_histogram_csv(h: Histogram, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket", "count"])
-        for label, count in zip(BUCKET_LABELS, h.buckets + (h.na,)):
-            writer.writerow([label, count])
+    write_table(path, ["bucket", "count"], zip(BUCKET_LABELS, h.buckets + (h.na,)))
 
 
 def write_trace_csv(points: Sequence[TracePoint], path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_top10"])
-        for pt in points:
-            writer.writerow([pt.k, SCORE_FORMAT % pt.mean_top10])
+    write_table(path, ["k", "mean_top10"],
+                ([pt.k, SCORE_FORMAT % pt.mean_top10] for pt in points))
 
 
 def write_cases_csv(table: CaseTable, g: CitationGraph, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "p", "q", "tag", "score"])
-        for label in table.labels:
-            for row in table.rows:
-                value = row.scores[label]
-                rendered = "NA" if value is None else SCORE_FORMAT % value
-                writer.writerow(
-                    [label, g.external_id(row.p), g.external_id(row.q), row.tag, rendered]
-                )
+    write_table(path, ["measure", "p", "q", "tag", "score"], (
+        [label, g.external_id(row.p), g.external_id(row.q), row.tag,
+         "NA" if row.scores[label] is None else SCORE_FORMAT % row.scores[label]]
+        for label in table.labels for row in table.rows))

@@ -6,11 +6,10 @@ tiny enough to verify by hand.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .graph import CitationGraph, PaperMeta, load_graph
+from .matrix import write_table
 
 # One pair (e, f) shares both a citer (i) and a reference (b); (d, g) share
 # the citer j but nothing else; (a, c) share nothing.
@@ -139,8 +138,5 @@ def write_edge_file(g: CitationGraph, path):
 
 def write_meta_file(g: CitationGraph, path):
     """Serialize per-paper metadata as CSV in the loadable format."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["external_id", "title", "year"])
-        for m in g.meta:
-            writer.writerow([m.external_id, m.title, "" if m.year is None else m.year])
+    write_table(path, ["external_id", "title", "year"],
+                ([m.external_id, m.title, "" if m.year is None else m.year] for m in g.meta))

@@ -293,7 +293,8 @@ def read_metadata(path) -> list[PaperMeta]:
             raise DataError(
                 f"{path}: expected header 'external_id,title,year', got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last physical line
             if not row:
                 continue
             if len(row) != 3:

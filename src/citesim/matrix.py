@@ -171,6 +171,15 @@ class SimilarityMatrix:
                 and np.array_equal(self._na, other._na))
 
 
+def write_table(path, header, rows):
+    """Write a result table: ``csv.writer``'s defaults (CRLF line ends,
+    quotes only where a field needs them), the header, then the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_matrix_csv(m: SimilarityMatrix, path):
     """Write `p,q,score` rows (p <= q, score > 0, N/A omitted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -193,15 +202,15 @@ def read_matrix_csv(path) -> np.ndarray:
             raise DataError(f"{path}: expected header 'p,q,score', got {header}")
 
         def parsed():
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 fields")
+                    raise DataError(f"{path}:{reader.line_num}: expected 3 fields")
                 try:
                     yield int(row[0]), int(row[1]), float(row[2])
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: malformed row {row}") from None
+                    raise DataError(f"{path}:{reader.line_num}: malformed row {row}") from None
 
         try:
             return np.fromiter(parsed(), dtype=ROW_DTYPE)

@@ -228,12 +228,27 @@ def test_report_semantics(shared_graph):
 
 
 def test_convergence_warns_only_at_no_decay(shared_graph):
-    with pytest.warns(RuntimeWarning):
-        converge(shared_graph, MeasureConfig("simrank", C=1.0, k_max=2))
+    # compute and converge warn, naming the line that called them
+    for run in (compute, converge):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(shared_graph, MeasureConfig("simrank", C=1.0, k_max=2))
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         iterate_pairwise(shared_graph, MeasureConfig("simrank", C=1.0, k_max=2))
         converge(shared_graph, MeasureConfig("simrank", C=0.8, k_max=2))
+
+
+def test_thread_counts_are_checked(shared_graph):
+    cfg = MeasureConfig("crank", k_max=2)
+    for threads in (0, -1, 2.5):
+        with pytest.raises(ConfigError, match="threads"):
+            compute(shared_graph, cfg, threads=threads)
+        with pytest.raises(ConfigError, match="threads"):
+            cocitation(shared_graph, MeasureConfig("cocitation"), threads=threads)
+        with pytest.raises(ConfigError, match="threads"):
+            next(iteration_scores(shared_graph, cfg, threads=threads))
 
 
 def test_converge_dispatch_matches_direct_calls(shared_graph):
@@ -430,8 +445,8 @@ def test_compute_peak_memory_in_squares():
     # tracemalloc peak of one compute at n=600, in n x n float64 squares
     n = 600
     cases = [
-        ("crank", fixtures.random_graph(n, 5 / n, 1), 7.0),
-        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 5.0),
+        ("crank", fixtures.random_graph(n, 5 / n, 1), 6.0),
+        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 4.0),
     ]
     for measure, g, limit in cases:
         tracemalloc.start()

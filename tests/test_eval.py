@@ -2,11 +2,25 @@ import numpy as np
 import pytest
 
 from citesim import fixtures
-from citesim.engine import MEASURES, MeasureConfig, compute, crank_jaccard
+from citesim.cli import _write_topk
+from citesim.engine import (
+    MEASURES,
+    IterationReport,
+    MeasureConfig,
+    TopKEntry,
+    compute,
+    crank_jaccard,
+    write_iteration_csv,
+)
 from citesim.errors import ConfigError, DataError
 from citesim.evaluate import (
     BUCKET_LABELS,
+    CaseRow,
+    CaseTable,
     EvalCorpus,
+    Histogram,
+    PrecisionTable,
+    TracePoint,
     case_analysis,
     convergence_trace,
     load_corpus,
@@ -18,7 +32,8 @@ from citesim.evaluate import (
     write_precision_csv,
     write_trace_csv,
 )
-from citesim.matrix import SimilarityMatrix
+from citesim.graph import CitationGraph, PaperMeta
+from citesim.matrix import SimilarityMatrix, write_matrix_csv
 
 import oracles
 
@@ -348,3 +363,54 @@ def test_cases_csv_renders_na(tmp_path, gap_graph, gap_ids):
     assert lines[0] == "measure,p,q,tag,score"
     assert lines[1] == "rvs_simrank:pairwise,a,b,P1,NA"
     assert lines[2].startswith("rvs_simrank:pairwise,k,l,P2,0.4")
+
+
+def test_result_files_have_pinned_bytes(tmp_path):
+    # the five result tables and the metadata fixture: CRLF line ends, quotes
+    # only where a field needs them; the matrix and iteration CSVs: LF
+    meta = [PaperMeta("a", "Links, and ranks", 1999), PaperMeta("b", 'Say "hi"'),
+            PaperMeta("c", "", 2001)]
+    g = CitationGraph.from_edges(3, [(0, 1), (2, 1)], meta)
+    mat = SimilarityMatrix(3)
+    mat.set(0, 1, 0.5)
+    mat.set_na(1, 2)
+    writes = {
+        "meta.csv": lambda path: fixtures.write_meta_file(g, path),
+        "precision.csv": lambda path: write_precision_csv(PrecisionTable(
+            {("simrank:pairwise", 10): 0.25, ("crank:jaccard", 20): 0.1,
+             ("crank:jaccard", 10): 0.5}, 3), path),
+        "hist.csv": lambda path: write_histogram_csv(
+            Histogram((1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 1, 3), path),
+        "trace.csv": lambda path: write_trace_csv(
+            [TracePoint(1, 0.5, 2), TracePoint(2, 0.1, 2)], path),
+        "cases.csv": lambda path: write_cases_csv(CaseTable(
+            ("crank:jaccard", "prank:pairwise"),
+            (CaseRow(0, 2, "P1", {"crank:jaccard": 0.25, "prank:pairwise": None}),)),
+            g, path),
+        "top.csv": lambda path: _write_topk(
+            g, [TopKEntry(0, 0.5), TopKEntry(2, 0.0, zero_fill=True)], path),
+        "matrix.csv": lambda path: write_matrix_csv(mat, path),
+        "iterations.csv": lambda path: write_iteration_csv(
+            IterationReport(2, True, (0.5, 1e-05)), path),
+    }
+    expected = {
+        "meta.csv": b'external_id,title,year\r\na,"Links, and ranks",1999\r\n'
+                    b'b,"Say ""hi""",\r\nc,,2001\r\n',
+        "precision.csv": b"measure,m,precision\r\ncrank:jaccard,10,0.5\r\n"
+                         b"crank:jaccard,20,0.10000000000000001\r\n"
+                         b"simrank:pairwise,10,0.25\r\n",
+        "hist.csv": b'bucket,count\r\n"[0.0,0.1)",1\r\n"[0.1,0.2)",0\r\n'
+                    b'"[0.2,0.3)",0\r\n"[0.3,0.4)",0\r\n"[0.4,0.5)",0\r\n'
+                    b'"[0.5,0.6)",0\r\n"[0.6,0.7)",0\r\n"[0.7,0.8)",0\r\n'
+                    b'"[0.8,0.9)",0\r\n"[0.9,1.0]",1\r\nN/A,1\r\n',
+        "trace.csv": b"k,mean_top10\r\n1,0.5\r\n2,0.10000000000000001\r\n",
+        "cases.csv": b"measure,p,q,tag,score\r\ncrank:jaccard,a,c,P1,0.25\r\n"
+                     b"prank:pairwise,a,c,P1,NA\r\n",
+        "top.csv": b'rank,external_id,score,zero_fill,title\r\n'
+                   b'1,a,0.5,0,"Links, and ranks"\r\n2,c,0,1,\r\n',
+        "matrix.csv": b"p,q,score\n0,0,1\n0,1,0.5\n1,1,1\n2,2,1\n",
+        "iterations.csv": b"iteration,max_delta\n1,0.5\n2,1.0000000000000001e-05\n",
+    }
+    for name, write in writes.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected[name], name

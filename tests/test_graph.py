@@ -245,6 +245,10 @@ def test_read_metadata_rejects_bad_year(tmp_path):
     path.write_text("external_id,title,year\nA,x,1492\n")
     with pytest.raises(DataError, match=r":2:"):
         read_metadata(path)
+    # the quoted title of row 2 spans lines 2 and 3, so the bad year is on line 4
+    path.write_text('external_id,title,year\nA,"two\nlines",1999\nB,x,soon\n')
+    with pytest.raises(DataError, match=r"m\.csv:4:"):
+        read_metadata(path)
 
 
 def test_file_round_trip(tmp_path, gap_graph):

@@ -148,3 +148,7 @@ def test_read_matrix_csv_rejects_garbage(tmp_path):
     path.write_text("p,q,score\n0,1,0.5\n\n99999999999999999999,1,0.5\n")
     with pytest.raises(DataError, match=r":4: id out of range"):
         read_matrix_csv(path)
+    # a quoted field spanning lines 2 and 3 puts the bad row on line 4
+    path.write_text('p,q,score\n0,0,"1\n"\n0,x,0.5\n')
+    with pytest.raises(DataError, match=r":4: malformed"):
+        read_matrix_csv(path)
