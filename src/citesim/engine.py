@@ -36,21 +36,26 @@ x86-64 baseline; tests/oracles.py keeps those products as the reference:
 * shared-neighbor counts: small integers, exact in any order.
 
 The pairwise recursions keep one float per unordered pair, S[p, q] for
-p < q, and :func:`_mirror` discards the other triangle.  So their second
-product is summed, scaled and added up over the lower triangle of S.T only
-(for rows r0:r1, columns :r1): each kept element is the same sum as over
-the full square, at about half the work.  The Jaccard recursion needs no
-mirror: its union counts are exact, so its second cross weight is the first
-one's transpose bit for bit, and its update is exactly symmetric as summed.
+p < q, and copy it onto (q, p).  So their second product is summed, scaled
+and added up over the lower triangle of S.T only (for rows r0:r1, columns
+:r1): each kept element is the same sum as over the full square, at about
+half the work.  Each row block is scaled and added up in the pass that
+summed it, and the last view's pass also sets the block's diagonal and
+copies its rows onto the upper triangle.  The Jaccard recursion needs no
+mirror: its union counts are exact, so its second cross weight is the
+first one's transpose bit for bit, and its update is exactly symmetric as
+summed.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
 With ``threads > 1`` the calling thread and ``threads - 1`` workers take
 row blocks from a shared queue; ``threads`` is first capped at the number
-of row blocks, so a small graph starts no idle workers.  Results are
-bit-identical for any ``threads`` value.  The blocks are many short numpy
-calls that hold the interpreter lock for most of their time, so at n=600
-on a shared 2-core x86-64 host two threads run a step no faster than one.
+of row blocks, so a small graph starts no idle workers.  Each thread sums
+its blocks in buffers of its own, allocated once per run
+(:func:`_block_pool`).  Results are bit-identical for any ``threads``
+value.  The blocks are many short numpy calls that hold the interpreter
+lock for most of their time, so at n=600 on a shared 2-core x86-64 host
+two threads run a step no faster than one.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -59,6 +64,7 @@ recursion scores every pair: an empty union just yields 0.
 from __future__ import annotations
 
 import queue
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
@@ -204,14 +210,14 @@ def _plan(lanes) -> list:
     return blocks
 
 
-def _block_sums(steps, src: np.ndarray, dest: np.ndarray) -> np.ndarray:
+def _block_sums(steps, src: np.ndarray, dest: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """Row i of ``dest``: the rows of ``src`` that row i of one plan block
     names, summed.
 
-    A lane's sum starts at 0.0 and adds src's rows in the order of its
-    gathers; the lane sums are then added, first to last.
+    A lane's sum starts at 0.0 in ``acc``, a scratch block of ``dest``'s
+    shape, and adds src's rows in the order of its gathers; the lane sums
+    are then added, first to last.
     """
-    acc = np.empty(dest.shape)
     for lane, (order, gathers) in enumerate(steps):
         acc.fill(0.0)
         for idx in gathers:
@@ -227,7 +233,8 @@ def _block_sums(steps, src: np.ndarray, dest: np.ndarray) -> np.ndarray:
 @contextmanager
 def _block_pool(threads: int, n: int):
     """Yield ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1, steps,
-    *args)`` for every block of ``plan`` and returns when all are done.
+    scratch, *args)`` for every block of ``plan`` and returns when all are
+    done.
 
     One run over n nodes opens one of these and passes it down to all its
     products, whose plans have ceil(n / _BLOCK_ROWS) blocks each; no more
@@ -238,10 +245,24 @@ def _block_pool(threads: int, n: int):
     and the calling thread takes every block.  The executor is shut down
     when the ``with`` block ends.  A ``threads`` that is not an integer
     >= 1 raises :class:`ConfigError`.
+
+    ``scratch(slot, rows, cols)`` is a contiguous rows x cols view of one of
+    the calling thread's block buffers.  Each thread allocates a slot's
+    buffer, room for _BLOCK_ROWS x n floats, at its first use in the run,
+    and keeps it until the run ends, so a product does not allocate one per
+    block; two threads never share one.
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1
+    local = threading.local()
+
+    def scratch(slot, rows, cols):
+        buffers = local.__dict__.setdefault("buffers", {})
+        if slot not in buffers:
+            buffers[slot] = np.empty(_BLOCK_ROWS * n)
+        return buffers[slot][:rows * cols].reshape(rows, cols)
+
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
 
         def each_block(fn, plan, *args):
@@ -255,7 +276,7 @@ def _block_pool(threads: int, n: int):
                         job = jobs.get_nowait()
                     except queue.Empty:
                         return
-                    fn(*job, *args)
+                    fn(*job, scratch, *args)
 
             started = [pool.submit(drain) for _ in range(helpers)]
             drain()
@@ -271,7 +292,10 @@ def _spmm(plan, b: np.ndarray, out: np.ndarray, each_block) -> np.ndarray:
     """Row p of ``out``: the rows of ``b`` that row p of the operator
     names, summed.  ``out`` may be a transposed view, which writes the
     product's transpose."""
-    each_block(lambda r0, r1, steps: _block_sums(steps, b, out[r0:r1]), plan)
+    def block(r0, r1, steps, scratch):
+        _block_sums(steps, b, out[r0:r1], scratch(0, r1 - r0, out.shape[1]))
+
+    each_block(block, plan)
     return out
 
 
@@ -299,8 +323,9 @@ def _lanes(op) -> tuple:
     return tuple(lanes)
 
 
-def _shared_counts(op, each_block) -> np.ndarray:
-    """|row p & row q| for every pair of op's rows.
+def _shared_counts(op, plan, each_block) -> np.ndarray:
+    """|row p & row q| for every pair of op's rows; ``plan`` is
+    ``_plan((op,))``, which the caller builds once per run.
 
     The sums are small integers, so they are exact in any order.
     """
@@ -308,7 +333,7 @@ def _shared_counts(op, each_block) -> np.ndarray:
     n = indptr.shape[0] - 1
     at = np.zeros((n, n))  # transpose of op's 0/1 matrix A, so this is A @ A.T
     at[indices, np.repeat(np.arange(n), np.diff(indptr))] = 1.0
-    return _spmm(_plan((op,)), at, np.empty((n, n)), each_block)
+    return _spmm(plan, at, np.empty((n, n)), each_block)
 
 
 def _degrees(op) -> np.ndarray:
@@ -316,11 +341,10 @@ def _degrees(op) -> np.ndarray:
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:
-    # One canonical float per unordered pair: the upper-triangle value wins
-    # (pass a.T to let the lower one win).  The two float expressions for
-    # (p,q) and (q,p) agree only to rounding, and the storage contract is
-    # exact symmetry.  Works in place.  Callers: the pairwise step (the lower
-    # triangle wins) and iteration_scores' ``initial`` (the upper one wins).
+    # One canonical float per unordered pair: the upper-triangle value wins.
+    # The two float values for (p,q) and (q,p) of an ``initial`` start need
+    # not agree, and the recursions read an exactly symmetric square.  Works
+    # in place.
     for p in range(1, a.shape[0]):
         a[p, :p] = a[:p, p]
     return a
@@ -340,7 +364,7 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
     with _block_pool(threads, g.n) as each_block:
         for view, w in _terms(cfg):
             op = g.csr(view)
-            shared = _shared_counts(op, each_block)
+            shared = _shared_counts(op, _plan((op,)), each_block)
             if cfg.normalization == "jaccard":
                 deg = _degrees(op)
                 shared *= _guarded_inverse(deg[:, None] + deg[None, :] - shared)
@@ -413,7 +437,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         und = g.csr(view)
         deg = _degrees(und)
         plan = _plan((und,))
-        jac = _shared_counts(und, each_block)  # |L(p) & L(q)|
+        jac = _shared_counts(und, plan, each_block)  # |L(p) & L(q)|
         w1 = _guarded_inverse(deg[:, None] + deg[None, :] - jac)  # 1 / |L u|
         jac *= w1
         w1 *= _guarded_inverse(deg)[None, :]  # 1 / (|L u| * |L(q)|)
@@ -443,32 +467,52 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
     prepared = []
     for view, w in _terms(cfg):
         op = g.csr(view)
-        prepared.append((_plan((op,)), _plan(_lanes(op)), w, _degrees(op)))
+        # 1 / (d_a * d_b) over the view's distinct degrees: a block gathers
+        # its inverse degree product from here, the same bits as computing it
+        degrees, codes = np.unique(_degrees(op), return_inverse=True)
+        prepared.append((_plan((op,)), _plan(_lanes(op)), w,
+                         _guarded_inverse(np.outer(degrees, degrees)), codes))
+    x = np.empty((n, n))
+    upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
 
-    def scaled_lower(r0, r1, steps, x, w, deg, low):
+    def lower_block(r0, r1, steps, scratch, w, table, codes, low, first, last):
         # rows r0:r1 of S.T over its first r1 columns, which hold the
         # block's part of the lower triangle: w * (C * S * inv), rounded in
         # that order (the inverse degree product is symmetric, so it serves
-        # S.T as well), added into low
-        blk = _block_sums(steps, x[:, :r1], np.empty((r1 - r0, r1)))
+        # S.T as well).  The first view stores it in low rounded as 0.0 + it,
+        # which turns a -0.0 into +0.0; the other views add theirs.
+        h = r1 - r0
+        out = low[r0:r1, :r1]
+        acc = scratch(0, h, r1)
+        blk = _block_sums(steps, x[:, :r1], out if first else scratch(1, h, r1), acc)
         blk *= C
-        blk *= _guarded_inverse(np.outer(deg[r0:r1], deg[:r1]))
+        # the sums are done, so acc takes the inverse; the codes are in
+        # range, and "clip" lets take write into acc without a buffer
+        blk *= np.take(table[codes[r0:r1]], codes[:r1], axis=1, out=acc, mode="clip")
         blk *= w
-        low[r0:r1, :r1] += blk
+        if first:
+            blk += 0.0
+        else:
+            out += blk
+        if last:
+            # the block's rows are final: set its diagonal and copy its
+            # lower triangle onto the upper one (the lower triangle wins)
+            low[:r0, r0:r1] = out[:, :r0].T
+            diag = low[r0:r1, r0:r1]
+            np.fill_diagonal(diag, 1.0)
+            np.copyto(diag, diag.T, where=upper[:h, :h])
 
     def step(prev: np.ndarray) -> np.ndarray:
         # S = (A @ prev) @ A.T for the view's 0/1 matrix A; the second
         # product is computed as its transpose, A @ (A @ prev).T, from the
-        # first written transposed.  Only S[p, q] = S.T[q, p] for p < q is
-        # kept, so only the lower triangle of S.T is summed, scaled and
-        # added up, and then mirrored.
-        low = np.zeros((n, n))
-        x = np.empty((n, n))
-        for ascending, lanes, w, deg in prepared:
+        # first written transposed into x.  Only S[p, q] = S.T[q, p] for
+        # p < q is kept, so only the lower triangle of S.T is summed, scaled
+        # and added up, and then mirrored.
+        low = np.empty((n, n))
+        for i, (ascending, lanes, w, table, codes) in enumerate(prepared):
             _spmm(ascending, prev, x.T, each_block)
-            each_block(scaled_lower, lanes, x, w, deg, low)
-        np.fill_diagonal(low, 1.0)
-        _mirror(low.T)
+            each_block(lower_block, lanes, w, table, codes, low,
+                       i == 0, i == len(prepared) - 1)
         return low
 
     return step
@@ -513,7 +557,6 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_iterations(g, cfg, threads):
-    na = na_mask(g, cfg)
     deltas = []
     prev = None
     with closing(iteration_scores(g, cfg, threads)) as steps:
@@ -524,6 +567,9 @@ def _run_iterations(g, cfg, threads):
             if deltas[-1] < cfg.epsilon:
                 break
     k_run = len(deltas)
+    # N/A depends on the graph alone: built once the steps are done, and
+    # only where a pair can be N/A
+    na = na_mask(g, cfg) if cfg.normalization == "pairwise" else None
     m = SimilarityMatrix.from_square(prev, na=na, k=k_run, bounded=True)
     return m, IterationReport(k_run, deltas[-1] < cfg.epsilon, tuple(deltas))
 
@@ -676,7 +722,7 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
 
     op = g.csr("in")
     with _block_pool(threads, g.n) as each_block:
-        counts = _shared_counts(op, each_block)
+        counts = _shared_counts(op, _plan((op,)), each_block)
     deg = _degrees(op)
     denom = np.outer(deg, deg)
     pos = denom > 0.0

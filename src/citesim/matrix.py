@@ -165,10 +165,13 @@ class SimilarityMatrix:
             yield from zip(repeat(p), qs, scores)
 
     def same_bits(self, other: "SimilarityMatrix") -> bool:
-        """True when every pair carries the identical float and N/A bit."""
+        """True when every pair carries the identical float and N/A bit.
+
+        The stores are compared byte for byte: -0.0 differs from 0.0, and a
+        NaN equals a NaN of the same bits."""
         return (self.n == other.n
-                and np.array_equal(self._scores, other._scores)
-                and np.array_equal(self._na, other._na))
+                and self._scores.tobytes() == other._scores.tobytes()
+                and self._na.tobytes() == other._na.tobytes())
 
 
 def write_table(path, header, rows):

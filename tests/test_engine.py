@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from citesim import fixtures
+from citesim import engine, fixtures
 from citesim.engine import (
     MeasureConfig,
     amsler,
@@ -441,18 +441,34 @@ def test_iteration_csv(tmp_path, shared_graph):
     assert float(lines[1].split(",")[1]) == report.max_delta_per_iteration[0]
 
 
+def test_each_run_builds_each_gather_plan_once(monkeypatch):
+    # crank's one undirected plan serves its shared counts and every step;
+    # prank builds an ascending and a two-lane plan per view
+    built = []
+    plan = engine._plan
+    monkeypatch.setattr(engine, "_plan", lambda lanes: built.append(len(lanes)) or plan(lanes))
+    g = fixtures.random_graph(70, 5 / 70, 1)
+    for cfg, want in ((MeasureConfig("crank", k_max=3), [1]),
+                      (MeasureConfig("prank", k_max=3), [1, 2, 1, 2])):
+        built.clear()
+        compute(g, cfg)
+        assert built == want, cfg.label()
+
+
 def test_compute_peak_memory_in_squares():
-    # tracemalloc peak of one compute at n=600, in n x n float64 squares
+    # tracemalloc peak of one compute at n=600, in n x n float64 squares;
+    # at 2 threads each thread holds its own block buffers
     n = 600
     cases = [
         ("crank", fixtures.random_graph(n, 5 / n, 1), 6.0),
         ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 4.0),
     ]
     for measure, g, limit in cases:
-        tracemalloc.start()
-        try:
-            compute(g, MeasureConfig(measure), threads=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 * n * n) <= limit, measure
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                compute(g, MeasureConfig(measure), threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / (8 * n * n) <= limit, (measure, threads)

@@ -79,6 +79,35 @@ def test_engine_matches_einsum_reference_bit_for_bit(g, threads, prank_lam, amsl
             assert np.array_equal(matrix.dense_scores(), want), (measure, norm)
 
 
+@settings(max_examples=15, deadline=None)
+@given(block_crossing_graphs(), lams, st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_starts_keep_the_bits_and_no_negative_zero(g, prank_lam, seed):
+    # a symmetric start of normal floats, negative and positive denormals
+    # (about 1e-321) and zeros of both signs
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-1.0, 1.0, (g.n, g.n))
+    kind = rng.integers(0, 4, (g.n, g.n))
+    start[kind == 1] *= 1e-321
+    start[kind == 2] = -0.0
+    start = np.where(np.tri(g.n, dtype=bool), start.T, start)
+    for cfg in (
+        MeasureConfig("simrank", k_max=3),
+        MeasureConfig("rvs_simrank", k_max=3),
+        MeasureConfig("prank", lam=prank_lam, k_max=3),
+        MeasureConfig("crank", k_max=3),
+    ):
+        runs = [[square.tobytes() for _, square in iteration_scores(g, cfg, threads, start)]
+                for threads in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2], cfg.label()
+        step = oracles.einsum_step(g, cfg)
+        want = start.copy()
+        np.fill_diagonal(want, 1.0)
+        for k, square in iteration_scores(g, cfg, 1, start):
+            want = step(want)
+            assert np.array_equal(square, want), (cfg.label(), k)
+            assert not np.any((square == 0.0) & np.signbit(square)), (cfg.label(), k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs(), st.floats(min_value=0.1, max_value=0.95))
 def test_undirected_jaccard_invariants(g, C):

@@ -103,6 +103,13 @@ def test_same_bits_detects_single_ulp():
     assert m1.same_bits(m2)
     m2.set(0, 1, np.nextafter(0.1, 1.0))
     assert not m1.same_bits(m2)
+    # bits, not values: a signed zero differs, a NaN matches itself
+    m1.set(0, 1, 0.0)
+    m2.set(0, 1, -0.0)
+    assert not m1.same_bits(m2)
+    m1.set(0, 1, np.nan)
+    m2.set(0, 1, np.nan)
+    assert m1.same_bits(m2)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
