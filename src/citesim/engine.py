@@ -551,9 +551,14 @@ def iteration_scores(
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| over two squares (0.0 when empty), one row block at a time
-    so that no n x n difference is held; a NaN propagates."""
-    return float(np.max([np.max(np.abs(a[r:r + _BLOCK_ROWS] - b[r:r + _BLOCK_ROWS]))
-                         for r in range(0, a.shape[0], _BLOCK_ROWS)], initial=0.0))
+    so that no n x n difference is held, in one block buffer; a NaN
+    propagates."""
+    buf = np.empty(a[:_BLOCK_ROWS].shape)
+    maxima = []
+    for r in range(0, a.shape[0], _BLOCK_ROWS):
+        diff = np.subtract(a[r:r + _BLOCK_ROWS], b[r:r + _BLOCK_ROWS], out=buf[:len(a) - r])
+        maxima.append(np.max(np.abs(diff, out=diff)))
+    return float(np.max(maxima, initial=0.0))
 
 
 def _run_iterations(g, cfg, threads):

@@ -209,15 +209,20 @@ def convergence_trace(
     points = []
     for k, square in iteration_scores(g, run_cfg, threads):
         scores, na_pairs = SimilarityMatrix.from_square(square, na).offdiag_packed()
-        vals = scores[~na_pairs]
-        take = min(10, vals.size)
-        if take:
-            top = np.sort(vals)[::-1][:take]
-            mean = float(top.mean())
-        else:
-            mean = 0.0
+        mean, take = _mean_top(scores[~na_pairs], 10)
         points.append(TracePoint(k=k, mean_top10=mean, pairs_used=take))
     return points
+
+
+def _mean_top(vals: np.ndarray, count: int) -> tuple[float, int]:
+    """(mean, used): the mean of the `count` highest values, or of all when
+    there are fewer (0.0 when none).  They are summed in descending order,
+    as a full sort gives them, so the mean has the same bits."""
+    take = min(count, vals.size)
+    if not take:
+        return 0.0, 0
+    top = np.partition(vals, vals.size - take)[vals.size - take:]
+    return float(np.sort(top)[::-1].mean()), take
 
 
 @dataclass(frozen=True)
@@ -252,18 +257,16 @@ def case_analysis(
     labels = tuple(cfg.label() for cfg in configs)
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate measure labels in case configs")
-    matrices = {}
-    for cfg in configs:
+    # one matrix alive at a time: keep each pair's score, then let it go
+    scores = [{} for _ in pairs]
+    for label, cfg in zip(labels, configs):
         mat, _ = compute(g, cfg, threads)
-        matrices[cfg.label()] = mat
-    rows = []
-    for p, q, tag in pairs:
-        scores = {
-            label: (None if mat.is_na(p, q) else mat.get(p, q))
-            for label, mat in matrices.items()
-        }
-        rows.append(CaseRow(p=p, q=q, tag=tag, scores=scores))
-    return CaseTable(labels=labels, rows=tuple(rows))
+        for row, (p, q, _) in zip(scores, pairs):
+            row[label] = None if mat.is_na(p, q) else mat.get(p, q)
+        del mat
+    rows = tuple(CaseRow(p=p, q=q, tag=tag, scores=row)
+                 for row, (p, q, tag) in zip(scores, pairs))
+    return CaseTable(labels=labels, rows=rows)
 
 
 # -- CSV exports -------------------------------------------------------------

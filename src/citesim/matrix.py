@@ -10,6 +10,17 @@ Storage is one packed row-major upper triangle, diagonal included: a
 float64 array of scores and a bool array of N/A flags, n*(n+1)/2 cells
 each.  Every measure builds its full n x n square before packing it, so
 the packed store never outgrows what the run has already held.
+
+The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``),
+but :func:`write_matrix_csv` formats chunks of :data:`_CHUNK` packed cells
+with numpy, one uint8 line matrix and one write per chunk.  Every positive
+normal score in [1e-10, 2**53) is formatted by exact integer arithmetic:
+v = M * 2**E is scaled to the 17-digit quotient M * 5**(16-X) * 2**(E+16-X),
+X = floor(log10 v), with the product held in two uint64 limbs (it is below
+2**116) and the shift rounded half to even on the exact remainder, so the
+bytes are those of ``%``.  Any other exported score (below 1e-10, from 2**53
+up, inf) is formatted by ``%`` in its place.  A chunk's temporaries peak at
+about 2 MB whatever n is.
 """
 from __future__ import annotations
 
@@ -25,6 +36,11 @@ from .errors import DataError
 SCORE_FORMAT = "%.17g"
 
 ROW_DTYPE = np.dtype([("p", np.int64), ("q", np.int64), ("score", np.float64)])
+
+# write_matrix_csv: packed cells per chunk, and the longest SCORE_FORMAT
+# text of a float64 ("2.2250738585072014e-308")
+_CHUNK = 8192
+_SCORE_WIDTH = 23
 
 
 class SimilarityMatrix:
@@ -148,21 +164,16 @@ class SimilarityMatrix:
         _, na = self.offdiag_packed()
         return int(na.sum())
 
-    def _exported(self) -> np.ndarray:
+    def _exported(self, cells: slice = slice(None)) -> np.ndarray:
         # packed flags of the pairs a matrix CSV holds: not N/A, score > 0
-        return ~self._na & (self._scores > 0.0)
-
-    def _exported_rows(self) -> Iterator[tuple[int, list, list]]:
-        # per p: the q >= p and the scores of its exported pairs
-        exported = self._exported()
-        for p, cells in self._rows():
-            keep = np.flatnonzero(exported[cells])
-            yield p, (keep + p).tolist(), self._scores[cells][keep].tolist()
+        return ~self._na[cells] & (self._scores[cells] > 0.0)
 
     def entries_above(self) -> Iterator[tuple[int, int, float]]:
         """Yield (p, q, score) for each row :func:`write_matrix_csv` writes."""
-        for p, qs, scores in self._exported_rows():
-            yield from zip(repeat(p), qs, scores)
+        exported = self._exported()
+        for p, cells in self._rows():
+            keep = np.flatnonzero(exported[cells])
+            yield from zip(repeat(p), (keep + p).tolist(), self._scores[cells][keep].tolist())
 
     def same_bits(self, other: "SimilarityMatrix") -> bool:
         """True when every pair carries the identical float and N/A bit.
@@ -183,16 +194,120 @@ def write_table(path, header, rows):
         writer.writerows(rows)
 
 
+def _quotient(m, e, x):
+    """(floor, round-up flag) of the 17-digit quotient m * 2**e * 10**(16-x),
+    rounded half to even, for m < 2**53 and 16 - x in [0, 27].
+
+    The product m * 5**(16-x) < 2**116 is held in two uint64 limbs (hi, lo)
+    and shifted right by r = x - 16 - e bits, or left by -r when r <= 0.
+    In [1e-10, 2**53) r stays below 63, and hi is 0 whenever r <= 0."""
+    f = (5 ** np.arange(28, dtype=np.uint64))[16 - x]  # a few µs: no table at import
+    m1, m0 = m >> 32, m & 0xFFFFFFFF
+    f1, f0 = f >> 32, f & 0xFFFFFFFF
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1  # < 2**53 + 2**63
+    lo = low + (mid << 32)
+    hi = m1 * f1 + (mid >> 32) + (lo < low)
+    r = x - 16 - e
+    right = r > 0
+    rs = np.maximum(r, 1).astype(np.uint64)
+    q = np.where(right, (hi << (64 - rs)) | (lo >> rs),
+                 lo << np.maximum(-r, 0).astype(np.uint64))
+    rem, half = lo & ((1 << rs) - 1), 1 << (rs - 1)
+    up = right & ((rem > half) | ((rem == half) & ((q & 1) == 1)))
+    return q, up
+
+
+def _score_text(v: np.ndarray, text: np.ndarray):
+    """Fill row i of the uint8 text, c x (_SCORE_WIDTH + 1), with
+    ``SCORE_FORMAT % v[i]``, a newline and NUL padding, for positive v."""
+    exact = (v >= 1e-10) & (v < 2.0 ** 53)
+    w = np.where(exact, v, 1.0)
+    bits = w.view(np.uint64)
+    m = (bits & (2 ** 52 - 1)) | 2 ** 52
+    e = (bits >> 52).astype(np.int64) - 1075
+    x = np.floor(np.log10(w)).astype(np.int64)
+    q, up = _quotient(m, e, x)
+    # log10 can land one off next to a power of ten: the quotient tells
+    off = (q >= 10 ** 17).astype(np.int64) - (q < 10 ** 16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        x[fix] += off[fix]
+        q[fix], up[fix] = _quotient(m[fix], e[fix], x[fix])
+    d = q + up
+    carry = d == 10 ** 17  # 99...9.5 rounds up to the next power of ten
+    d[carry] = 10 ** 16
+    x += carry
+
+    # one row per byte, one column per score: z holds four zeros (for
+    # 0.000ddd), the 17 digits of d and a point
+    c = v.size
+    z = np.empty((22, c), dtype=np.uint8)
+    z[:4], z[21] = ord("0"), ord(".")
+    for k in range(20, 3, -1):
+        rest = d // 10
+        z[k] = d - 10 * rest + ord("0")
+        d = rest
+    n = ((z[4:21] != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    # %g: fixed form for -4 <= x < 17, else one digit before the point and
+    # an exponent.  Either way the text is the digits before the point (a
+    # single "0" for 0.000ddd), the point, then the digits after it: for
+    # each place of the point one pattern of rows of z, the commonest laid
+    # out for every score and the others where they hold
+    fixed = x >= -4
+    point = np.where(fixed, x, 0)
+    places = np.bincount(point + 4)
+    col = np.arange(_SCORE_WIDTH + 1, dtype=np.uint8)
+    out = np.empty((col.size, c), dtype=np.uint8)
+    for i, at in enumerate(np.argsort(-places, kind="stable")[:np.count_nonzero(places)] - 4):
+        lead = max(at, 0) + 1
+        src = np.minimum(4 + min(at, 0) + col - (col > lead), 20)
+        src[lead] = 21
+        cols = np.flatnonzero(point == at) if i else slice(None)
+        out[:, cols] = z[src][:, cols]
+    frac = np.maximum(n - point - 1, 0)
+    length = np.maximum(point, 0) + 1 + (frac > 0) + frac
+    sci = np.flatnonzero(~fixed)
+    for i, byte in enumerate((ord("e"), ord("-"), -x[sci] // 10 + ord("0"),
+                              -x[sci] % 10 + ord("0"))):
+        out[length[sci] + i, sci] = byte
+    length[sci] += 4
+
+    other = np.flatnonzero(~exact)
+    if other.size:
+        texts = [SCORE_FORMAT % s for s in v[other].tolist()]
+        out[:_SCORE_WIDTH, other] = np.array(texts, dtype=f"S{_SCORE_WIDTH}")[:, None].view(np.uint8).T
+        length[other] = [len(t) for t in texts]
+    length = length.astype(np.uint8)
+    out *= col[:, None] < length
+    out += (col[:, None] == length) * np.uint8(ord("\n"))
+    text[:] = out.T
+
+
+def _id_text(n: int) -> np.ndarray:
+    """Id i as one item of bytes: its digits right-aligned, NULs in front
+    where it is shorter than n - 1, then a comma."""
+    pow10 = 10 ** np.arange(len(str(max(n - 1, 0))) - 1, -1, -1)
+    ids = np.arange(n)[:, None]
+    text = np.full((n, pow10.size + 1), ord(","), dtype=np.uint8)
+    text[:, :-1] = np.where((ids >= pow10) | (pow10 == 1), ids // pow10 % 10 + ord("0"), 0)
+    return text.view(f"V{text.shape[1]}")[:, 0]
+
+
 def write_matrix_csv(m: SimilarityMatrix, path):
-    """Write `p,q,score` rows (p <= q, score > 0, N/A omitted)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("p,q,score\n")
-        for p, qs, scores in m._exported_rows():
-            # one % per matrix row, over its (q, score) pairs interleaved
-            values = [None] * (2 * len(qs))
-            values[::2] = qs
-            values[1::2] = scores
-            fh.write((f"{p},%d,{SCORE_FORMAT}\n" * len(qs)) % tuple(values))
+    """Write `p,q,score` rows (p <= q, score > 0, N/A omitted), the score
+    as ``SCORE_FORMAT % score``, one chunk of packed cells per write."""
+    ids = _id_text(m.n)
+    start = 2 * ids.itemsize  # the score's first column in a line
+    with open(path, "wb") as fh:
+        fh.write(b"p,q,score\n")
+        for lo in range(0, m._scores.size, _CHUNK):
+            cells = lo + np.flatnonzero(m._exported(slice(lo, lo + _CHUNK)))
+            line = np.empty((cells.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
+            line[:, :start] = ids[m._pairs(cells)].view(np.uint8).reshape(cells.size, start)
+            _score_text(m._scores[cells], line[:, start:])
+            # a line is its bytes up to the NUL padding of each field
+            fh.write(line[line != 0].tobytes())
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -461,7 +461,7 @@ def test_compute_peak_memory_in_squares():
     n = 600
     cases = [
         ("crank", fixtures.random_graph(n, 5 / n, 1), 6.0),
-        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 4.0),
+        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], 3.8),
     ]
     for measure, g, limit in cases:
         for threads in (1, 2):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citesim import fixtures
 from citesim.cli import _write_topk
@@ -21,6 +22,7 @@ from citesim.evaluate import (
     Histogram,
     PrecisionTable,
     TracePoint,
+    _mean_top,
     case_analysis,
     convergence_trace,
     load_corpus,
@@ -262,6 +264,27 @@ def test_trace_matches_brute_force_top10(shared_graph):
 def test_trace_small_graph_uses_what_it_has():
     pts = convergence_trace(fixtures.star_graph(1), MeasureConfig("crank"), 2)
     assert [pt.pairs_used for pt in pts] == [3, 3]
+
+
+def _full_sort_mean(vals, count):
+    top = np.sort(vals)[::-1][:count]
+    return (float(top.mean()) if top.size else 0.0), top.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["ties", "spread"]))
+def test_mean_top_keeps_the_full_sort_bits(n, seed, kind):
+    # n <= 4 leaves fewer than 10 off-diagonal pairs; "ties" draws from 5 values
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 5, size=(n, n)) / 4.0 if kind == "ties" else rng.random((n, n)) ** 3
+    square = np.triu(a) + np.triu(a, 1).T
+    na = np.triu(rng.random((n, n)) < 0.2, 1)
+    scores, na_pairs = SimilarityMatrix.from_square(square, na | na.T).offdiag_packed()
+    vals = scores[~na_pairs]
+    got, want = _mean_top(vals, 10), _full_sort_mean(vals, 10)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1] == want[1]
 
 
 def test_trace_argument_validation(shared_graph):

@@ -1,14 +1,20 @@
 """Property-based checks of the packed score store against element-by-element
-references: the CSV bytes, the CSV check, the row views and the top_k
-rankings."""
+references: the CSV bytes and score text, the CSV check, the row views and
+the top_k rankings."""
+
+import decimal
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citesim.engine import top_k
+from citesim import fixtures
+from citesim.engine import MeasureConfig, compute, top_k
 from citesim.errors import DataError
-from citesim.matrix import ROW_DTYPE, SimilarityMatrix, compare_rows, write_matrix_csv
+from citesim.matrix import (ROW_DTYPE, SCORE_FORMAT, SimilarityMatrix, compare_rows,
+                            write_matrix_csv)
 
 import oracles
 
@@ -42,6 +48,62 @@ def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq):
     write_matrix_csv(m, path)
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == oracles.matrix_csv_reference(m)
+
+
+def _float(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _nearby(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.inf if ulps > 0 else 0.0)
+    return v
+
+
+def _tie(v):
+    """v with its low mantissa bits set so that its 18th significant digit
+    is an exact 5, where the 53 bits allow that: a round-half-even tie."""
+    mant, exp = math.frexp(v)
+    m, e = int(mant * 2 ** 53), exp - 53
+    r = decimal.Decimal(v).adjusted() - 16 - e  # bits below the 17th digit
+    if not 1 <= r <= 53:
+        return v
+    return math.ldexp(((m >> r) << r) | (1 << (r - 1)), e)
+
+
+# positive float64: any bit pattern (subnormals and inf included), the
+# edges of the exact range and powers of ten a few ulps off, and ties
+# (0x3DDB... and 0x433F... are the bits of 1e-10 and of 2**53 less one ulp)
+scores = (st.integers(min_value=1, max_value=0x7FF0000000000000).map(_float)
+          | st.builds(_nearby, st.sampled_from([1e-10, 2.0 ** 53] + [10.0 ** k for k in range(-12, 17)]),
+                      st.integers(min_value=-3, max_value=3))
+          | st.integers(min_value=0x3DDB7CDFD9D7BDBB, max_value=0x433FFFFFFFFFFFFF).map(_float).map(_tie))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(scores, min_size=1, max_size=40))
+def test_written_score_text_is_the_score_format(tmp_path_factory, values):
+    m = SimilarityMatrix(9)  # 45 cells, filled from the first, the rest 0
+    m._scores[:] = 0.0
+    m._scores[:len(values)] = values
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix_csv(m, path)
+    lines = path.read_bytes().decode().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == [SCORE_FORMAT % v for v in values]
+
+
+def test_csv_write_peak_memory_in_squares(tmp_path):
+    # the crank-dense benchmark's matrix, about 180k rows; the store is
+    # built before tracing starts, so this is the writer's own peak
+    n = 600
+    m, _ = compute(fixtures.random_graph(n, 5 / n, 1), MeasureConfig("crank"))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(m, tmp_path / "m.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 1.5
 
 
 @settings(max_examples=60, deadline=None)
