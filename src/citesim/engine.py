@@ -41,10 +41,17 @@ and added up over the lower triangle of S.T only (for rows r0:r1, columns
 :r1): each kept element is the same sum as over the full square, at about
 half the work.  Each row block is scaled and added up in the pass that
 summed it, and the last view's pass also sets the block's diagonal and
-copies its rows onto the upper triangle.  The Jaccard recursion needs no
-mirror: its union counts are exact, so its second cross weight is the
-first one's transpose bit for bit, and its update is exactly symmetric as
-summed.
+copies its rows onto the upper triangle.  The Jaccard recursion's union
+counts are exact, so its second cross weight is the first one's transpose
+bit for bit, and its update is exactly symmetric as summed.  It holds no
+weight square: it keeps the shared-neighbor counts, in the smallest
+unsigned type that holds the largest degree (one byte per pair below 256),
+and once both products of a step are summed, one pass rebuilds each row
+block's weights from the counts and the degrees, with the operations of a
+whole-square setup, and writes the block's lower triangle of the new
+iterate and its mirror image.  The pass that finishes a row block also
+gives the block's largest change from the previous iterate, so a run's
+delta costs no pass of its own.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -54,8 +61,9 @@ of row blocks, so a small graph starts no idle workers.  Each thread sums
 its blocks in buffers of its own, allocated once per run
 (:func:`_block_pool`).  Results are bit-identical for any ``threads``
 value.  The blocks are many short numpy calls that hold the interpreter
-lock for most of their time, so at n=600 on a shared 2-core x86-64 host
-two threads run a step no faster than one.
+lock for much of their time: on a shared 2-core x86-64 host, two threads
+ran crank's compute 1.76-1.96x as fast as one at n=2400, but at n=600 no
+faster than one (crank 133 against 138 ms, prank 139 against 202 ms).
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -69,7 +77,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import iand
 from typing import Callable, Iterator, Optional
 
@@ -179,8 +187,9 @@ class IterationReport:
 # Products run in fixed blocks of _BLOCK_ROWS output rows, the unit of work
 # that --threads shares out.  Each output element is one sum in the order of
 # its plan's gather indices, whatever block or thread computes it, so the
-# block size changes no bit.  Blocks of 300 or 600 rows were 2-3x slower per
-# product at n=600, as a block's accumulator and gathers outgrow the cache.
+# block size changes no bit.  With blocks of 300 rows, compute at n=600 on
+# one thread took 1.19-1.25x as long for crank and 1.11-1.16x for prank, as
+# a block's accumulator and gathers outgrow the cache.
 _BLOCK_ROWS = 64
 
 
@@ -246,6 +255,9 @@ def _block_pool(threads: int, n: int):
     when the ``with`` block ends.  A ``threads`` that is not an integer
     >= 1 raises :class:`ConfigError`.
 
+    ``each_block`` returns what ``fn`` returned for each block, in no
+    particular order.
+
     ``scratch(slot, rows, cols)`` is a contiguous rows x cols view of one of
     the calling thread's block buffers.  Each thread allocates a slot's
     buffer, room for _BLOCK_ROWS x n floats, at its first use in the run,
@@ -266,9 +278,13 @@ def _block_pool(threads: int, n: int):
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
 
         def each_block(fn, plan, *args):
+            # the queue holds the calls, so drain refers to no square: a
+            # helper cancelled before it started stays in the pool's queue
+            # until a worker takes it, and would keep them alive meanwhile
             jobs = queue.SimpleQueue()
-            for job in plan:
-                jobs.put(job)
+            for r0, r1, steps in plan:
+                jobs.put(partial(fn, r0, r1, steps, scratch, *args))
+            results = []
 
             def drain():
                 while True:
@@ -276,7 +292,7 @@ def _block_pool(threads: int, n: int):
                         job = jobs.get_nowait()
                     except queue.Empty:
                         return
-                    fn(*job, scratch, *args)
+                    results.append(job())
 
             started = [pool.submit(drain) for _ in range(helpers)]
             drain()
@@ -284,6 +300,7 @@ def _block_pool(threads: int, n: int):
                 # a helper that has not started would find the queue empty
                 if not helper.cancel():
                     helper.result()
+            return results
 
         yield each_block
 
@@ -323,17 +340,18 @@ def _lanes(op) -> tuple:
     return tuple(lanes)
 
 
-def _shared_counts(op, plan, each_block) -> np.ndarray:
-    """|row p & row q| for every pair of op's rows; ``plan`` is
-    ``_plan((op,))``, which the caller builds once per run.
+def _shared_counts(op, plan, each_block, dtype=float) -> np.ndarray:
+    """|row p & row q| for every pair of op's rows, as ``dtype``; ``plan``
+    is ``_plan((op,))``, which the caller builds once per run.
 
-    The sums are small integers, so they are exact in any order.
+    The sums are small integers, so they are exact in any order, and so is
+    their cast to any type that holds the largest degree.
     """
     indptr, indices = op
     n = indptr.shape[0] - 1
     at = np.zeros((n, n))  # transpose of op's 0/1 matrix A, so this is A @ A.T
     at[indices, np.repeat(np.arange(n), np.diff(indptr))] = 1.0
-    return _spmm(plan, at, np.empty((n, n)), each_block)
+    return _spmm(plan, at, np.empty((n, n), dtype), each_block)
 
 
 def _degrees(op) -> np.ndarray:
@@ -352,6 +370,13 @@ def _mirror(a: np.ndarray) -> np.ndarray:
 
 def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
     return np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+
+
+def _block_delta(cur: np.ndarray, prev: np.ndarray, buf: np.ndarray) -> float:
+    """max |cur - prev| over one block, in ``buf`` of the block's shape; a
+    NaN propagates."""
+    diff = np.subtract(cur, prev, out=buf)
+    return np.max(np.abs(diff, out=diff), initial=0.0)
 
 
 # -- non-iterative measures -------------------------------------------------
@@ -424,10 +449,14 @@ def na_mask(g: CitationGraph, cfg: MeasureConfig) -> np.ndarray:
 
 
 def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
-    """Build the double-buffered update: new square scores from frozen old.
+    """Build the double-buffered update ``step(prev, from_identity)``: the
+    new square scores from frozen old, and max |new - prev|.
 
-    The operators' gather plans are built here, once; each step only
-    gathers and adds, block by block through ``each_block``.
+    ``from_identity`` says that ``prev`` is the identity start.  The
+    operators' gather plans are built here, once; each step only gathers
+    and adds, block by block through ``each_block``, and each block also
+    gives its part of the delta.  Max is exact in any order, so the delta
+    does not depend on the thread schedule.
     """
     n = g.n
     C = cfg.C
@@ -436,31 +465,67 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         [(view, _)] = _terms(cfg)
         und = g.csr(view)
         deg = _degrees(und)
+        inv_deg = _guarded_inverse(deg)
         plan = _plan((und,))
-        jac = _shared_counts(und, plan, each_block)  # |L(p) & L(q)|
-        w1 = _guarded_inverse(deg[:, None] + deg[None, :] - jac)  # 1 / |L u|
-        jac *= w1
-        w1 *= _guarded_inverse(deg)[None, :]  # 1 / (|L u| * |L(q)|)
+        # |L(p) & L(q)| <= the largest degree, kept in the smallest unsigned
+        # type that holds that: an eighth of a float square while it fits a byte
+        count_type = np.min_scalar_type(int(np.diff(und[0]).max(initial=0)))
+        counts = _shared_counts(und, plan, each_block, count_type)
         nonzeros = (np.repeat(np.arange(n), np.diff(und[0])), und[1])
+        s1 = np.empty((n, n))
 
-        def step(prev: np.ndarray) -> np.ndarray:
-            # G = prev @ U sums prev over q' in L(q); prev is exactly
-            # symmetric, so U @ prev is G's transpose, written here into
-            # G's transposed view.  Zeroing G at U's nonzeros, where x is
-            # in L(q), restricts the second product's outer sum to
-            # L(p) \ L(q).  The second cross sum is the transpose of the
-            # first by symmetry of prev, so one product serves both.
-            gsum = np.empty((n, n))
-            _spmm(plan, prev, gsum.T, each_block)
-            gsum[nonzeros] = 0.0
-            s1 = _spmm(plan, gsum, np.empty((n, n)), each_block)
-            # C * (jac + (w1 * S1 + (w1 * S1).T)), rounded in that order
-            s1 *= w1
-            out = np.add(s1, s1.T, out=gsum)
-            out += jac
-            out *= C
-            np.fill_diagonal(out, 1.0)
-            return out
+        def finish(r0, r1, steps, scratch, prev, sums, cur):
+            # rows r0:r1 of C * (jac + (w1 * S1 + (w1 * S1).T)) over their
+            # first r1 columns, rounded in that order, from weights rebuilt
+            # by the operations of a whole-square setup:
+            #   inv = 1 / ((d_p + d_q) - |L(p) & L(q)|), 0 where both are 0
+            #   jac = count * inv,  w1 = inv * 1/d_q,  w1.T = inv * 1/d_p
+            # The counts are symmetric, so inv is too, and each element is
+            # the same sum as its mirror image: the rows are copied onto the
+            # upper triangle.  ``sums`` is S1, or None where S1 is zero (the
+            # first step from the identity), which leaves C * jac.  G, in
+            # cur's buffer, is dead once S1 is summed, so the rows are
+            # formed in place.
+            h = r1 - r0
+            inv = np.add(deg[r0:r1, None], deg[:r1], out=scratch(0, h, r1))
+            jac = scratch(1, h, r1)
+            np.copyto(jac, counts[r0:r1, :r1])
+            inv -= jac
+            np.divide(1.0, inv, out=inv, where=inv > 0.0)
+            jac *= inv
+            out = cur[r0:r1, :r1]
+            if sums is None:
+                np.multiply(jac, C, out=out)
+            else:
+                np.multiply(inv, inv_deg[:r1], out=out)
+                out *= sums[r0:r1, :r1]
+                inv *= inv_deg[r0:r1, None]
+                inv *= sums[:r1, r0:r1].T
+                out += inv
+                out += jac
+                out *= C
+            np.fill_diagonal(out[:, r0:], 1.0)
+            cur[:r0, r0:r1] = out[:, :r0].T
+            # both squares are exactly symmetric, so the lower triangle
+            # holds every difference
+            return _block_delta(out, prev[r0:r1, :r1], jac)
+
+        def step(prev: np.ndarray, from_identity: bool):
+            cur = np.empty((n, n))
+            if not from_identity:
+                # G = prev @ U sums prev over q' in L(q); prev is exactly
+                # symmetric, so U @ prev is G's transpose, written here into
+                # G's transposed view, in cur's buffer until the last pass
+                # overwrites it.  Zeroing G at U's nonzeros, where x is in
+                # L(q), restricts the second product's outer sum to
+                # L(p) \ L(q).  The second cross sum is the transpose of the
+                # first by symmetry of prev, so one product serves both.
+                # From the identity, G is zero everywhere the mask leaves.
+                _spmm(plan, prev, cur.T, each_block)
+                cur[nonzeros] = 0.0
+                _spmm(plan, cur, s1, each_block)
+            maxima = each_block(finish, plan, prev, None if from_identity else s1, cur)
+            return cur, float(np.max(maxima, initial=0.0))
 
         return step
 
@@ -475,7 +540,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
     x = np.empty((n, n))
     upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
 
-    def lower_block(r0, r1, steps, scratch, w, table, codes, low, first, last):
+    def lower_block(r0, r1, steps, scratch, w, table, codes, low, prev, first, last):
         # rows r0:r1 of S.T over its first r1 columns, which hold the
         # block's part of the lower triangle: w * (C * S * inv), rounded in
         # that order (the inverse degree product is symmetric, so it serves
@@ -501,8 +566,11 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
             diag = low[r0:r1, r0:r1]
             np.fill_diagonal(diag, 1.0)
             np.copyto(diag, diag.T, where=upper[:h, :h])
+            # both squares are exactly symmetric, so the lower triangle
+            # holds every difference
+            return _block_delta(out, prev[r0:r1, :r1], acc)
 
-    def step(prev: np.ndarray) -> np.ndarray:
+    def step(prev: np.ndarray, from_identity: bool):
         # S = (A @ prev) @ A.T for the view's 0/1 matrix A; the second
         # product is computed as its transpose, A @ (A @ prev).T, from the
         # first written transposed into x.  Only S[p, q] = S.T[q, p] for
@@ -511,9 +579,9 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         low = np.empty((n, n))
         for i, (ascending, lanes, w, table, codes) in enumerate(prepared):
             _spmm(ascending, prev, x.T, each_block)
-            each_block(lower_block, lanes, w, table, codes, low,
-                       i == 0, i == len(prepared) - 1)
-        return low
+            maxima = each_block(lower_block, lanes, w, table, codes, low, prev,
+                                i == 0, i == len(prepared) - 1)
+        return low, float(np.max(maxima, initial=0.0))
 
     return step
 
@@ -523,14 +591,18 @@ def iteration_scores(
     cfg: MeasureConfig,
     threads: int = 1,
     initial: Optional[np.ndarray] = None,
+    *,
+    _deltas: Optional[list] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k, square scores after iteration k) for k = 1..k_max.
 
     Runs the full budget with no epsilon stop; callers wanting early
     termination break out themselves.  ``initial`` replaces the identity
-    start (its diagonal is forced to 1); the yielded arrays are fresh per
-    iteration and safe to keep.  With ``threads > 1`` the run owns one
-    thread pool, shut down when the generator is exhausted or closed.
+    start (its diagonal is forced to 1).  Each yielded array is a new one
+    that no later step writes to, so it is safe to keep.  With
+    ``threads > 1`` the run owns one thread pool, shut down when the
+    generator is exhausted or closed.  ``_deltas``, a list, gets each
+    iteration's max |new - previous| appended before it is yielded.
     """
     if not cfg.iterative:
         raise ConfigError(f"{cfg.measure} is not an iterative measure")
@@ -545,37 +617,24 @@ def iteration_scores(
     with _block_pool(threads, g.n) as each_block:
         step = _make_step(g, cfg, each_block)
         for k in range(1, cfg.k_max + 1):
-            prev = step(prev)
+            prev, delta = step(prev, k == 1 and initial is None)
+            if _deltas is not None:
+                _deltas.append(delta)
             yield k, prev
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over two squares (0.0 when empty), one row block at a time
-    so that no n x n difference is held, in one block buffer; a NaN
-    propagates."""
-    buf = np.empty(a[:_BLOCK_ROWS].shape)
-    maxima = []
-    for r in range(0, a.shape[0], _BLOCK_ROWS):
-        diff = np.subtract(a[r:r + _BLOCK_ROWS], b[r:r + _BLOCK_ROWS], out=buf[:len(a) - r])
-        maxima.append(np.max(np.abs(diff, out=diff)))
-    return float(np.max(maxima, initial=0.0))
-
-
 def _run_iterations(g, cfg, threads):
+    # the steps give their deltas, so only the last iterate is held here
     deltas = []
-    prev = None
-    with closing(iteration_scores(g, cfg, threads)) as steps:
+    with closing(iteration_scores(g, cfg, threads, _deltas=deltas)) as steps:
         for _, cur in steps:
-            # the identity start, built once the generator has let go of its own
-            deltas.append(_max_abs_diff(cur, np.eye(g.n) if prev is None else prev))
-            prev = cur
             if deltas[-1] < cfg.epsilon:
                 break
     k_run = len(deltas)
     # N/A depends on the graph alone: built once the steps are done, and
     # only where a pair can be N/A
     na = na_mask(g, cfg) if cfg.normalization == "pairwise" else None
-    m = SimilarityMatrix.from_square(prev, na=na, k=k_run, bounded=True)
+    m = SimilarityMatrix.from_square(cur, na=na, k=k_run, bounded=True)
     return m, IterationReport(k_run, deltas[-1] < cfg.epsilon, tuple(deltas))
 
 
@@ -762,7 +821,7 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
 
 
 def _chain_check(name, mats, tol):
-    diff = float(np.max([_max_abs_diff(a, b) for a, b in zip(mats, mats[1:])]))
+    diff = float(np.max([_block_delta(a, b, np.empty_like(a)) for a, b in zip(mats, mats[1:])]))
     return IdentityCheck(name, diff, tol, diff <= tol)
 
 

@@ -79,6 +79,29 @@ def test_engine_matches_einsum_reference_bit_for_bit(g, threads, prank_lam, amsl
             assert np.array_equal(matrix.dense_scores(), want), (measure, norm)
 
 
+@settings(max_examples=20, deadline=None)
+@given(block_crossing_graphs(), st.sampled_from([1, 2, 3]), lams)
+def test_reported_deltas_are_the_largest_change_between_iterates(g, threads, prank_lam):
+    # each step's blocks give their part of the delta; the reference takes
+    # it over whole consecutive iterates, the identity before the first
+    for cfg in (
+        MeasureConfig("simrank", k_max=4, epsilon=1e-300),
+        MeasureConfig("rvs_simrank", k_max=4, epsilon=1e-300),
+        MeasureConfig("prank", lam=prank_lam, k_max=4, epsilon=1e-300),
+        MeasureConfig("crank", "pairwise", k_max=4, epsilon=1e-300),
+        MeasureConfig("crank", "jaccard", k_max=4, epsilon=1e-300),
+    ):
+        _, report = compute(g, cfg, threads)
+        prev = np.eye(g.n)
+        want = []
+        for _, square in iteration_scores(g, cfg, threads):
+            want.append(float(np.max(np.abs(square - prev), initial=0.0)))
+            prev = square
+        # the run stops at the first delta below epsilon
+        stop = next((k for k, d in enumerate(want, start=1) if d < cfg.epsilon), len(want))
+        assert report.max_delta_per_iteration == tuple(want[:stop]), cfg.label()
+
+
 @settings(max_examples=15, deadline=None)
 @given(block_crossing_graphs(), lams, st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_starts_keep_the_bits_and_no_negative_zero(g, prank_lam, seed):
