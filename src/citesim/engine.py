@@ -74,7 +74,6 @@ from __future__ import annotations
 import queue
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -250,9 +249,10 @@ def _block_pool(threads: int, n: int):
     threads than that are used, whatever ``threads`` asks for.  The calling
     thread and ``threads - 1`` helpers of one executor take blocks from a
     shared queue: a helper that wakes late takes fewer blocks instead of
-    holding the product up.  With no helpers the executor starts no thread
-    and the calling thread takes every block.  The executor is shut down
-    when the ``with`` block ends.  A ``threads`` that is not an integer
+    holding the product up.  The executor is shut down when the ``with``
+    block ends.  Without helpers (one thread, or at most one block) there
+    is no executor, and :mod:`concurrent.futures` is not even imported: the
+    calling thread takes every block.  A ``threads`` that is not an integer
     >= 1 raises :class:`ConfigError`.
 
     ``each_block`` returns what ``fn`` returned for each block, in no
@@ -266,8 +266,9 @@ def _block_pool(threads: int, n: int):
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1
+    helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1  # -1 when n is 0
     local = threading.local()
+    pool = None
 
     def scratch(slot, rows, cols):
         buffers = local.__dict__.setdefault("buffers", {})
@@ -275,33 +276,37 @@ def _block_pool(threads: int, n: int):
             buffers[slot] = np.empty(_BLOCK_ROWS * n)
         return buffers[slot][:rows * cols].reshape(rows, cols)
 
-    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+    def each_block(fn, plan, *args):
+        # the queue holds the calls, so drain refers to no square: a
+        # helper cancelled before it started stays in the pool's queue
+        # until a worker takes it, and would keep them alive meanwhile
+        jobs = queue.SimpleQueue()
+        for r0, r1, steps in plan:
+            jobs.put(partial(fn, r0, r1, steps, scratch, *args))
+        results = []
 
-        def each_block(fn, plan, *args):
-            # the queue holds the calls, so drain refers to no square: a
-            # helper cancelled before it started stays in the pool's queue
-            # until a worker takes it, and would keep them alive meanwhile
-            jobs = queue.SimpleQueue()
-            for r0, r1, steps in plan:
-                jobs.put(partial(fn, r0, r1, steps, scratch, *args))
-            results = []
+        def drain():
+            while True:
+                try:
+                    job = jobs.get_nowait()
+                except queue.Empty:
+                    return
+                results.append(job())
 
-            def drain():
-                while True:
-                    try:
-                        job = jobs.get_nowait()
-                    except queue.Empty:
-                        return
-                    results.append(job())
+        started = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for helper in started:
+            # a helper that has not started would find the queue empty
+            if not helper.cancel():
+                helper.result()
+        return results
 
-            started = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for helper in started:
-                # a helper that has not started would find the queue empty
-                if not helper.cancel():
-                    helper.result()
-            return results
+    if helpers <= 0:
+        yield each_block
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
         yield each_block
 
 

@@ -11,6 +11,7 @@ consumes one of three neighbor views of a paper ``p``:
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -259,10 +260,49 @@ def load_graph(
 # -- file formats ----------------------------------------------------------
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """Open the UTF-8 text file at ``path`` for reading, as ``open`` does
+    with ``newline``.  A byte that is not UTF-8 raises :class:`DataError`
+    naming ``path:lineno``, the line that holds it numbered from 1 as the
+    file splits into lines."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # decoding fails a chunk at a time; find the line once it has.
+        # surrogateescape turns each byte that is not UTF-8 into a lone
+        # surrogate, the one thing that cannot be encoded back
+        with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise DataError(
+                        f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8"
+                    ) from None
+        raise
+
+
+@contextmanager
+def open_csv(path):
+    """A ``csv.reader`` with its defaults over ``open_text(path, newline="")``.
+    A row it refuses (a field over its size limit) raises
+    :class:`DataError` naming ``path:lineno``."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_tab_lines(path) -> Iterator[tuple[int, str, list[str]]]:
-    """Yield ``(lineno, line, fields)`` per tab-separated line, numbered from 1
-    and without its line ending; blank lines and ``#`` comments are skipped."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield ``(lineno, line, fields)`` per tab-separated line of an
+    :func:`open_text` file, numbered from 1 and without its line ending;
+    blank lines and ``#`` comments are skipped."""
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if line.strip() and not line.lstrip().startswith("#"):
@@ -286,8 +326,7 @@ def read_edge_list(path) -> Iterator[tuple[str, str]]:
 def read_metadata(path) -> list[PaperMeta]:
     """Read a metadata CSV with header ``external_id,title,year``."""
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != ["external_id", "title", "year"]:
             raise DataError(

@@ -31,6 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DataError
+from .graph import open_csv
 
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
@@ -313,8 +314,7 @@ def write_matrix_csv(m: SimilarityMatrix, path):
 def read_matrix_csv(path) -> np.ndarray:
     """Read rows written by :func:`write_matrix_csv` into a structured array
     of :data:`ROW_DTYPE`, in file order: ``for p, q, s in rows`` works."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != ["p", "q", "score"]:
             raise DataError(f"{path}: expected header 'p,q,score', got {header}")

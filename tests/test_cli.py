@@ -466,15 +466,92 @@ def test_topk_rejects_an_unknown_query_before_computing(shared_files, tmp_path, 
     assert not out.exists() and not (tmp_path / "top.csv.summary.json").exists()
 
 
-def test_module_entry_point(shared_files, tmp_path):
+def test_undecodable_input_exits_2(shared_files, tmp_path, capsys):
     edge, meta = shared_files
-    # the child imports citesim from where this process found it, installed or not
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"a\tb\nc\t\xff\n")
+    assert main(["validate", "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err == f"citesim: error: {bad}:2: byte 0xff is not UTF-8\n"
+
+    bad.write_bytes(b"external_id,title,year\na,\xe9t\xe9,1999\n")
+    assert main(["validate", "--graph", edge, "--meta", str(bad)]) == 2
+    assert capsys.readouterr().err == f"citesim: error: {bad}:2: byte 0xe9 is not UTF-8\n"
+
+    bad.write_bytes(b"p,q,score\n0,0,1\n\x80\n")
+    assert main(["validate", "--graph", edge, "--meta", meta, "--measure", "crank",
+                 "--out", str(bad)]) == 2
+    assert capsys.readouterr().err == f"citesim: error: {bad}:3: byte 0x80 is not UTF-8\n"
+
+
+# -- the process entry point -------------------------------------------------
+
+
+@pytest.fixture()
+def blocks_files(tmp_path):
+    # 130 papers: three row blocks, so a second thread gets a helper
+    g = fixtures.random_graph(130, 5 / 130, 1)
+    edge = tmp_path / "blocks.tsv"
+    meta = tmp_path / "blocks.csv"
+    fixtures.write_edge_file(g, edge)
+    fixtures.write_meta_file(g, meta)
+    return str(edge), str(meta)
+
+
+def run_python(*args):
+    """``python -X dev *args`` in a fresh interpreter that imports citesim
+    from where this process found it, installed or not.  Dev mode reports
+    files never closed; stderr must hold no such report and no traceback."""
     src = os.path.dirname(os.path.dirname(citesim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "citesim", "validate", "--graph", edge,
-         "--meta", meta],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-X", "dev", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
+    for marker in ("ResourceWarning", "Exception ignored", "Traceback"):
+        assert marker not in proc.stderr, proc.stderr
+    return proc
+
+
+def test_module_entry_point(shared_files, blocks_files, tmp_path, capsys):
+    edge, meta = shared_files
+    proc = run_python("-m", "citesim", "validate", "--graph", edge, "--meta", meta)
     assert proc.returncode == 0
+    assert main(["validate", "--graph", edge, "--meta", meta]) == 0
+    assert proc.stdout == capsys.readouterr().out  # whole on the pipe
     assert json.loads(proc.stdout)["graph"]["nodes"] == 10
+
+    proc = run_python("-m", "citesim", "validate", "--graph", edge, "--kmax", "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "citesim: error: " in proc.stderr
+
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"a\tb\n\xff\tc\n")
+    for graph, message in ((str(tmp_path / "absent.tsv"), "No such file"),
+                           (str(bad), f"{bad}:2: byte 0xff is not UTF-8")):
+        proc = run_python("-m", "citesim", "validate", "--graph", graph)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("citesim: error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    edge, meta = blocks_files
+    for threads in ("1", "2"):
+        argv = ["compute", "--graph", edge, "--meta", meta, "--measure", "crank",
+                "--threads", threads, "--out"]
+        child, parent = tmp_path / f"child{threads}.csv", tmp_path / f"main{threads}.csv"
+        assert run_python("-m", "citesim", *argv, str(child)).returncode == 0
+        assert main([*argv, str(parent)]) == 0
+        for suffix in ("", ".summary.json"):
+            assert (child.with_name(child.name + suffix).read_bytes()
+                    == parent.with_name(parent.name + suffix).read_bytes())
+
+
+def test_one_thread_runs_never_import_the_thread_pool(blocks_files, tmp_path):
+    edge, meta = blocks_files
+    code = ("import sys, citesim.cli; code = citesim.cli.main(sys.argv[1:]); "
+            "print(code, 'concurrent.futures' in sys.modules)")
+    for threads, loaded in (("1", "False"), ("2", "True")):
+        proc = run_python("-c", code, "compute", "--graph", edge, "--meta", meta,
+                          "--measure", "crank", "--threads", threads,
+                          "--out", str(tmp_path / f"t{threads}.csv"))
+        assert proc.stdout.split() == ["0", loaded]
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()

@@ -285,12 +285,13 @@ def test_custom_start_forces_diagonal(shared_graph):
 
 def test_empty_and_single_node_graphs():
     empty = CitationGraph.from_edges(0, [])
-    m, report = crank_jaccard(empty, MeasureConfig("crank", "jaccard"))
-    assert m.n == 0 and report.converged
     single = CitationGraph.from_edges(1, [])
-    m, report = iterate_pairwise(single, MeasureConfig("simrank"))
-    assert m.get(0, 0) == 1.0 and report.converged
-    assert reduction_check(empty).passed
+    for threads in (1, 2, 3):
+        m, report = crank_jaccard(empty, MeasureConfig("crank", "jaccard"), threads)
+        assert m.n == 0 and report.converged
+        m, report = iterate_pairwise(single, MeasureConfig("simrank"), threads)
+        assert m.get(0, 0) == 1.0 and report.converged
+        assert reduction_check(empty, threads).passed
 
 
 # -- N/A structure -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from citesim import fixtures
 from citesim.errors import DataError
@@ -12,6 +13,7 @@ from citesim.graph import (
     read_tab_lines,
     read_metadata,
 )
+from citesim.matrix import read_matrix_csv
 
 
 def test_empty_stream():
@@ -269,3 +271,59 @@ def test_file_round_trip(tmp_path, gap_graph):
 def test_missing_file_raises():
     with pytest.raises(OSError):
         load_graph_files("/no/such/file.tsv")
+
+
+# every reader of an input file, with the header its format starts with
+READERS = {
+    "tab lines": (lambda path: list(read_tab_lines(path)), b""),
+    "edge list": (lambda path: list(read_edge_list(path)), b""),
+    "metadata": (read_metadata, b"external_id,title,year\n"),
+    "matrix": (read_matrix_csv, b"p,q,score\n"),
+}
+
+
+@pytest.mark.parametrize("content, lineno, byte", [
+    (b"A\tB\nC\t\xff\n", 2, "0xff"),
+    (b"A\tB\rC\t\xe2\x82\n", 2, "0xe2"),  # a lone CR ends a line, as when read as text
+    (b"A\tB\n" * 5000 + b"\xc0D\tE\n", 5001, "0xc0"),  # past the first decoded chunk
+])
+def test_undecodable_bytes_name_the_line_that_holds_them(tmp_path, content, lineno, byte):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(content)
+    for read in (read_tab_lines, read_edge_list):
+        with pytest.raises(DataError) as err:
+            list(read(path))
+        assert str(err.value) == f"{path}:{lineno}: byte {byte} is not UTF-8"
+
+
+def test_csv_readers_name_the_physical_line_of_a_bad_byte_or_an_oversized_field(tmp_path):
+    path = tmp_path / "m.csv"
+    # the quoted title spans lines 2 and 3; the bad byte is on line 3
+    path.write_bytes(b'external_id,title,year\nA,"two\nlines \xe2\x82",1999\n')
+    with pytest.raises(DataError, match=f"^{path}:3: byte 0xe2 is not UTF-8$"):
+        read_metadata(path)
+    path.write_bytes(b"p,q,score\n0,1,0.5\n0,2,\xc0\n")
+    with pytest.raises(DataError, match=f"^{path}:3: byte 0xc0 is not UTF-8$"):
+        read_matrix_csv(path)
+    for read, header in (read_metadata, "external_id,title,year"), (read_matrix_csv, "p,q,score"):
+        path.write_text(f"{header}\n{'1' * 140_000}\n")
+        with pytest.raises(DataError, match=f"^{path}:2: field larger than field limit"):
+            read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(with_header=st.booleans(), body=st.binary(max_size=300) | st.lists(
+    st.sampled_from([b"\t", b"\n", b"\r", b",", b'"', b"#", b" ", b"0", b"7", b"-", b".",
+                     b"e", b"a", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x82"]),
+    max_size=80).map(b"".join))
+@example(with_header=True, body=b"1" * 140_000)  # over csv's field size limit
+def test_readers_return_a_value_or_a_data_error_naming_the_file(
+        tmp_path_factory, reader, with_header, body):
+    read, header = READERS[reader]
+    path = tmp_path_factory.mktemp("reader") / "input"
+    path.write_bytes((header if with_header else b"") + body)
+    try:
+        read(path)
+    except DataError as exc:
+        assert str(exc).startswith(str(path))
