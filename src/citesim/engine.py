@@ -442,7 +442,7 @@ def na_mask(g: CitationGraph, cfg: MeasureConfig) -> np.ndarray:
         return np.zeros((g.n, g.n), dtype=bool)
 
     def empty_pairs(view):
-        empty = np.fromiter((not s for s in g.neighbor_sets(view)), dtype=bool, count=g.n)
+        empty = np.diff(g.csr(view)[0]) == 0
         return empty[:, None] | empty[None, :]
 
     mask = reduce(iand, [empty_pairs(view) for view, _ in _terms(cfg)])
@@ -540,8 +540,10 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         # 1 / (d_a * d_b) over the view's distinct degrees: a block gathers
         # its inverse degree product from here, the same bits as computing it
         degrees, codes = np.unique(_degrees(op), return_inverse=True)
+        # A's nonzeros, (column, row): where A @ I, written into x.T, is 1
+        ones = (op[1], np.repeat(np.arange(n), np.diff(op[0])))
         prepared.append((_plan((op,)), _plan(_lanes(op)), w,
-                         _guarded_inverse(np.outer(degrees, degrees)), codes))
+                         _guarded_inverse(np.outer(degrees, degrees)), codes, ones))
     x = np.empty((n, n))
     upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
 
@@ -580,10 +582,16 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         # product is computed as its transpose, A @ (A @ prev).T, from the
         # first written transposed into x.  Only S[p, q] = S.T[q, p] for
         # p < q is kept, so only the lower triangle of S.T is summed, scaled
-        # and added up, and then mirrored.
+        # and added up, and then mirrored.  From the identity the first
+        # product is A itself, with the same bits: each of its sums is one
+        # 1.0 or none, plus +0.0 terms.
         low = np.empty((n, n))
-        for i, (ascending, lanes, w, table, codes) in enumerate(prepared):
-            _spmm(ascending, prev, x.T, each_block)
+        for i, (ascending, lanes, w, table, codes, ones) in enumerate(prepared):
+            if from_identity:
+                x.fill(0.0)
+                x[ones] = 1.0
+            else:
+                _spmm(ascending, prev, x.T, each_block)
             maxima = each_block(lower_block, lanes, w, table, codes, low, prev,
                                 i == 0, i == len(prepared) - 1)
         return low, float(np.max(maxima, initial=0.0))
@@ -608,6 +616,12 @@ def iteration_scores(
     ``threads > 1`` the run owns one thread pool, shut down when the
     generator is exhausted or closed.  ``_deltas``, a list, gets each
     iteration's max |new - previous| appended before it is yielded.
+
+    From an ``initial`` with tiny negative entries (about -1e-321),
+    crank:jaccard iterates can hold ``-0.0``, where ``C`` times a tiny
+    negative sum rounds to it; the pairwise recursions never do.
+    :meth:`SimilarityMatrix.same_bits` tells ``-0.0`` from ``+0.0``, and the
+    matrix CSV writes neither, as it holds positive scores only.
     """
     if not cfg.iterative:
         raise ConfigError(f"{cfg.measure} is not an iterative measure")

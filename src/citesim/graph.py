@@ -7,6 +7,14 @@ consumes one of three neighbor views of a paper ``p``:
 * ``in``          -- I(p), the papers that cite p
 * ``out``         -- O(p), the papers p cites
 * ``undirected``  -- L(p) = I(p) | O(p), direction discarded
+
+A graph stores each view once, as read-only CSR rows ``(indptr, indices)``
+with every row in ascending order, built with numpy from the edges' ids:
+about 32 bytes per edge for the three views.  No edge is ever held as a
+Python object.  The set accessors (``neighbors``, ``neighbor_sets``,
+``in_index``/``out_index``/``und_index``, ``edges``, ``has_edge``) are
+computed from the rows on each call, in time proportional to the degrees
+they read, and nothing caches them; the engine reads only :meth:`csr`.
 """
 from __future__ import annotations
 
@@ -60,24 +68,55 @@ class GraphStats:
     sinks: int  # nodes with no out-links
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` in ascending order, each value once.  A stable argsort
+    (``np.unique`` would import ``numpy.ma``, about 1.3 MB, on first use)."""
+    keys = keys[np.argsort(keys, kind="stable")]
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR rows of the pairs ``row * n + col`` in ``keys``, which
+    are ascending and distinct."""
+    rows, indices = np.divmod(keys, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
+
+
 class CitationGraph:
-    """Immutable directed citation graph with precomputed neighbor indexes.
+    """Immutable directed citation graph with its three CSR neighbor views.
 
     Construct through :func:`load_graph` (external-id streams) or
     :meth:`from_edges` (already-dense integer ids).  Instances never change
     after construction, so all read methods are safe for concurrent use.
     """
 
-    def __init__(self, n: int, edges: frozenset, in_index, out_index, meta):
+    def __init__(self, n: int, edge_keys: np.ndarray, meta: tuple, ext_to_id=None):
+        """``edge_keys`` holds each edge (u, v) once, as ``u * n + v`` in
+        ascending order; ``ext_to_id`` maps each external id to its paper
+        id, and is built from ``meta`` when not given."""
         self.n = n
-        self.edges = edges
-        self.in_index = in_index  # tuple of frozensets, I(p)
-        self.out_index = out_index  # tuple of frozensets, O(p)
-        self.und_index = tuple(i | o for i, o in zip(in_index, out_index))
         self.meta = meta
-        self._ext_to_id = {m.external_id: p for p, m in enumerate(meta)}
-        if len(self._ext_to_id) != n:
+        if ext_to_id is None:
+            ext_to_id = {m.external_id: p for p, m in enumerate(meta)}
+        self._ext_to_id = ext_to_id
+        if len(ext_to_id) != n:
             raise DataError("external ids are not unique")
+        citing, cited = np.divmod(edge_keys, max(n, 1))
+        # the keys ascend by (citing, cited), so a stable sort by cited
+        # alone orders the reversed pairs by (cited, citing)
+        in_keys = (cited * n + citing)[np.argsort(cited, kind="stable")]
+        self._views = {
+            "out": _csr(n, edge_keys),
+            "in": _csr(n, in_keys),
+            # a mutual citation is one key in each direction, kept once
+            "undirected": _csr(n, _sorted_distinct(np.concatenate((edge_keys, in_keys)))),
+        }
 
     @classmethod
     def from_edges(
@@ -89,34 +128,41 @@ class CitationGraph:
         """Build a graph over nodes ``0..n-1`` from integer edge pairs.
 
         Rejects self-loops, duplicates, and out-of-range endpoints; use
-        :func:`load_graph` for streams that still need cleaning.
+        :func:`load_graph` for streams that still need cleaning.  The error
+        names the first edge, in the given order, that breaks a rule.
         """
-        edge_set = set()
-        ins = [set() for _ in range(n)]
-        outs = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DataError(f"edge ({u}, {v}) outside node range [0, {n})")
-            if u == v:
-                raise DataError(f"self-loop at node {u}")
-            if (u, v) in edge_set:
-                raise DataError(f"duplicate edge ({u}, {v})")
-            edge_set.add((u, v))
-            outs[u].add(v)
-            ins[v].add(u)
+        pairs = list(edges)
+        try:
+            uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            # an endpoint beyond int64 is out of range: clamp it to -1 or n
+            uv = np.array([(min(max(u, -1), n), min(max(v, -1), n)) for u, v in pairs],
+                          dtype=np.int64).reshape(-1, 2)
+        u, v = uv.T
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = outside | (u == v)
+        kept = np.flatnonzero(~bad)
+        keys = u[kept] * n + v[kept]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # a stable sort puts each repeat after the edge it repeats
+        repeats = keys[1:] == keys[:-1]
+        bad[kept[order[1:][repeats]]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = pairs[i]
+            if outside[i]:
+                raise DataError(f"edge ({a}, {b}) outside node range [0, {n})")
+            if a == b:
+                raise DataError(f"self-loop at node {a}")
+            raise DataError(f"duplicate edge ({a}, {b})")
         if meta is None:
             meta = tuple(PaperMeta(external_id=str(p)) for p in range(n))
         else:
             meta = tuple(meta)
             if len(meta) != n:
                 raise DataError(f"expected {n} meta records, got {len(meta)}")
-        return cls(
-            n,
-            frozenset(edge_set),
-            tuple(frozenset(s) for s in ins),
-            tuple(frozenset(s) for s in outs),
-            meta,
-        )
+        return cls(n, keys, meta)
 
     # -- lookups -----------------------------------------------------------
 
@@ -130,53 +176,72 @@ class CitationGraph:
         return self.meta[p].external_id
 
     def has_edge(self, u: PaperId, v: PaperId) -> bool:
-        return (u, v) in self.edges
+        if not 0 <= u < self.n:
+            return False
+        indptr, indices = self._views["out"]
+        row = indices[indptr[u]:indptr[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < row.shape[0] and bool(row[i] == v)
 
     def neighbors(self, p: PaperId, view: str = "undirected") -> frozenset:
         """Return I(p), O(p), or L(p); mutual citations collapse to one
         undirected neighbor."""
         if not 0 <= p < self.n:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
-        return self.neighbor_sets(view)[p]
+        indptr, indices = self.csr(view)
+        return frozenset(indices[indptr[p]:indptr[p + 1]].tolist())
 
     def neighbor_sets(self, view: str) -> tuple:
         """I(p), O(p) or L(p) for every paper p, one frozenset each."""
-        if view == "in":
-            return self.in_index
-        if view == "out":
-            return self.out_index
-        if view == "undirected":
-            return self.und_index
-        raise ValueError(f"unknown view {view!r}")
+        indptr, indices = self.csr(view)
+        ids, bounds = indices.tolist(), indptr.tolist()
+        return tuple(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def in_index(self) -> tuple:
+        return self.neighbor_sets("in")
+
+    @property
+    def out_index(self) -> tuple:
+        return self.neighbor_sets("out")
+
+    @property
+    def und_index(self) -> tuple:
+        return self.neighbor_sets("undirected")
+
+    @property
+    def edges(self) -> frozenset:
+        """Every edge as a (citing, cited) pair."""
+        indptr, indices = self._views["out"]
+        citing = np.repeat(np.arange(self.n), np.diff(indptr))
+        return frozenset(zip(citing.tolist(), indices.tolist()))
 
     def stats(self) -> GraphStats:
         if self.n == 0:
             return GraphStats(0, 0, 0.0, 0.0, 0, 0)
-        e = len(self.edges)
+        e = len(self._views["out"][1])
         return GraphStats(
             n=self.n,
             edge_count=e,
             d1=e / self.n,
             d2=e / self.n,
-            sources=sum(1 for s in self.in_index if not s),
-            sinks=sum(1 for s in self.out_index if not s),
+            sources=int(np.count_nonzero(np.diff(self._views["in"][0]) == 0)),
+            sinks=int(np.count_nonzero(np.diff(self._views["out"][0]) == 0)),
         )
 
     # -- sparse operators consumed by the engine ---------------------------
 
     def csr(self, view: str) -> tuple[np.ndarray, np.ndarray]:
-        """The view as CSR rows ``(indptr, indices)``.
+        """The view as CSR rows ``(indptr, indices)``, the stored arrays.
 
         Row p, ``indices[indptr[p]:indptr[p + 1]]``, lists the ids in I(p),
         O(p) or L(p) in ascending order; mutual citations collapse to one
-        undirected neighbor.
+        undirected neighbor.  Both arrays are read-only.
         """
-        index = self.neighbor_sets(view)
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum([len(s) for s in index], out=indptr[1:])
-        indices = np.fromiter((x for s in index for x in sorted(s)),
-                              dtype=np.intp, count=int(indptr[-1]))
-        return indptr, indices
+        try:
+            return self._views[view]
+        except KeyError:
+            raise ValueError(f"unknown view {view!r}") from None
 
 
 def classify_connector(
@@ -219,27 +284,13 @@ def load_graph(
     still become nodes.  The report carries the drop counts.
     """
     ids: dict[str, int] = {}
-
-    def intern(ext: str) -> int:
-        if not ext:
-            raise DataError("empty paper id in edge stream")
-        if ext not in ids:
-            ids[ext] = len(ids)
-        return ids[ext]
-
-    edge_set: set[tuple[int, int]] = set()
-    duplicates = 0
-    self_loops = 0
+    citing_ids: list[int] = []
+    cited_ids: list[int] = []
     for citing, cited in edge_stream:
-        u = intern(citing)
-        v = intern(cited)
-        if u == v:
-            self_loops += 1
-            continue
-        if (u, v) in edge_set:
-            duplicates += 1
-            continue
-        edge_set.add((u, v))
+        if not citing or not cited:
+            raise DataError("empty paper id in edge stream")
+        citing_ids.append(ids.setdefault(citing, len(ids)))
+        cited_ids.append(ids.setdefault(cited, len(ids)))
 
     meta_by_ext: dict[str, PaperMeta] = {}
     if meta_stream is not None:
@@ -247,14 +298,22 @@ def load_graph(
             if rec.external_id in meta_by_ext:
                 raise DataError(f"duplicate metadata for {rec.external_id!r}")
             meta_by_ext[rec.external_id] = rec
-            intern(rec.external_id)  # isolated node if not an edge endpoint
+            ids.setdefault(rec.external_id, len(ids))  # isolated if not an endpoint
 
     n = len(ids)
-    meta = [None] * n
-    for ext, p in ids.items():
-        meta[p] = meta_by_ext.get(ext, PaperMeta(external_id=ext))
-    graph = CitationGraph.from_edges(n, edge_set, meta)
-    return graph, LoadReport(duplicate_edges=duplicates, self_loops=self_loops)
+    # ids iterates in insertion order, which is paper id order
+    meta = tuple(meta_by_ext.get(ext) or PaperMeta(external_id=ext) for ext in ids)
+    u = np.array(citing_ids, dtype=np.intp)
+    v = np.array(cited_ids, dtype=np.intp)
+    del citing_ids, cited_ids  # not held while the views are built
+    loops = u == v
+    self_loops = int(np.count_nonzero(loops))
+    keep = ~loops
+    keys = _sorted_distinct(u[keep] * n + v[keep])
+    graph = CitationGraph(n, keys, meta, ids)
+    report = LoadReport(duplicate_edges=len(u) - self_loops - len(keys),
+                        self_loops=self_loops)
+    return graph, report
 
 
 # -- file formats ----------------------------------------------------------

@@ -12,7 +12,8 @@ Two kinds, neither sharing code with the engine's matrix algebra:
 
 The score store has element-by-element references too: the CSV one line
 per pair, the CSV check through dicts and sets of pairs, and rankings from
-a sorted list.
+a sorted list.  The graph loader has one as well: per-edge Python sets, as
+the graph was once stored.
 """
 from __future__ import annotations
 
@@ -382,3 +383,47 @@ def top_k_reference(m, query, count, zero_fill=True):
         zeros = [q for q, s in partners if s == 0.0]
         out += [(q, 0.0, True) for q in zeros[:count - len(out)]]
     return out
+
+
+def reference_load(edge_stream, meta_stream=None):
+    """Load an edge stream into per-edge Python sets.
+
+    Returns the external ids in id order, the (duplicate, self-loop) drop
+    counts, the set of (citing, cited) edges, and per view the list of each
+    paper's neighbor set.
+    """
+    ids = {}
+    edges, duplicates, loops = set(), 0, 0
+    for citing, cited in edge_stream:
+        u = ids.setdefault(citing, len(ids))
+        v = ids.setdefault(cited, len(ids))
+        if u == v:
+            loops += 1
+        elif (u, v) in edges:
+            duplicates += 1
+        else:
+            edges.add((u, v))
+    for rec in meta_stream or ():
+        ids.setdefault(rec.external_id, len(ids))
+    ins = [set() for _ in ids]
+    outs = [set() for _ in ids]
+    for u, v in edges:
+        outs[u].add(v)
+        ins[v].add(u)
+    views = {"in": ins, "out": outs, "undirected": [i | o for i, o in zip(ins, outs)]}
+    return list(ids), (duplicates, loops), edges, views
+
+
+def reference_from_edges_error(n, edges):
+    """The message for the first edge that a per-edge loop over a set of
+    seen edges rejects, or None when every edge is good."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) outside node range [0, {n})"
+        if u == v:
+            return f"self-loop at node {u}"
+        if (u, v) in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add((u, v))
+    return None

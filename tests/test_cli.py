@@ -10,7 +10,7 @@ from citesim import cli, fixtures
 from citesim.cli import main
 from citesim.engine import MEASURES, MeasureConfig, compute
 from citesim.evaluate import convergence_trace
-from citesim.graph import load_graph_files
+from citesim.graph import CitationGraph, load_graph_files
 from citesim.matrix import SCORE_FORMAT, write_matrix_csv
 
 
@@ -555,3 +555,27 @@ def test_one_thread_runs_never_import_the_thread_pool(blocks_files, tmp_path):
                           "--out", str(tmp_path / f"t{threads}.csv"))
         assert proc.stdout.split() == ["0", loaded]
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_compute_reads_no_neighbor_set(blocks_files, tmp_path, monkeypatch):
+    # the CLI and the engine read the graph's CSR arrays alone: with every
+    # set-valued accessor refusing, compute writes the same bytes
+    edge, meta = blocks_files
+    argv = ["compute", "--graph", edge, "--meta", meta, "--measure"]
+    expected = {}
+    for measure in ("crank", "prank"):
+        out = tmp_path / f"{measure}.csv"
+        assert main([*argv, measure, "--out", str(out)]) == 0
+        expected[measure] = out.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("a set-valued graph accessor was called")
+
+    for name in ("neighbor_sets", "neighbors", "has_edge"):
+        monkeypatch.setattr(CitationGraph, name, refuse)
+    monkeypatch.setattr(CitationGraph, "edges", property(refuse))
+    for measure in ("crank", "prank"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{measure}-t{threads}.csv"
+            assert main([*argv, measure, "--threads", threads, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected[measure]

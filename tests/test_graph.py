@@ -1,10 +1,17 @@
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from citesim import fixtures
 from citesim.errors import DataError
 from citesim.graph import (
     CitationGraph,
+    GraphStats,
+    LoadReport,
     PaperMeta,
     classify_connector,
     load_graph,
@@ -76,6 +83,99 @@ def test_csr_rows_are_the_sorted_neighbor_views(shared_graph):
                 assert row == sorted(g.neighbors(p, view))
     with pytest.raises(ValueError):
         shared_graph.csr("sideways")
+
+
+def test_csr_arrays_are_read_only(shared_graph):
+    for view in ("in", "out", "undirected"):
+        for array in shared_graph.csr(view):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+IDS = [f"p{i}" for i in range(12)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # eight ids for the edges: duplicates, self-loops and mutual citations
+    # are common; metadata may name the other four, which stay isolated
+    edges=st.lists(st.tuples(st.sampled_from(IDS[:8]), st.sampled_from(IDS[:8])), max_size=40),
+    meta_ids=st.lists(st.sampled_from(IDS), unique=True, max_size=6),
+)
+@example(edges=[], meta_ids=[])
+@example(edges=[("p0", "p1"), ("p1", "p0"), ("p0", "p1"), ("p2", "p2")], meta_ids=["p9"])
+def test_loader_matches_a_set_reference(edges, meta_ids):
+    meta = [PaperMeta(ext, title=f"title of {ext}") for ext in meta_ids]
+    g, report = load_graph(edges, meta)
+    order, (duplicates, loops), edge_set, views = oracles.reference_load(edges, meta)
+    n = len(order)
+    assert g.n == n
+    assert [g.external_id(p) for p in range(n)] == order
+    assert [m.title for m in g.meta] == [
+        f"title of {ext}" if ext in meta_ids else "" for ext in order]
+    assert report == LoadReport(duplicate_edges=duplicates, self_loops=loops)
+    assert g.edges == edge_set
+    for view, sets in views.items():
+        indptr, indices = g.csr(view)
+        assert indptr.tolist() == [0, *np.cumsum([len(s) for s in sets]).tolist()]
+        assert indices.tolist() == [x for s in sets for x in sorted(s)]
+        assert g.neighbor_sets(view) == tuple(frozenset(s) for s in sets)
+        for p in range(n):
+            assert g.neighbors(p, view) == sets[p]
+    assert g.in_index == tuple(map(frozenset, views["in"]))
+    assert g.out_index == tuple(map(frozenset, views["out"]))
+    assert g.und_index == tuple(map(frozenset, views["undirected"]))
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ((u, v) in edge_set)
+    e = len(edge_set)
+    expected = GraphStats(0, 0, 0.0, 0.0, 0, 0) if n == 0 else GraphStats(
+        n, e, e / n, e / n, sum(not s for s in views["in"]), sum(not s for s in views["out"]))
+    assert g.stats() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 6),
+       edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=12))
+@example(n=3, edges=[(0, 1), (1, 0), (2, 2**70)])  # beyond int64: out of range
+@example(n=3, edges=[(0, 0), (-(2**70), 1)])
+@example(n=3, edges=[(0, 1), (1, 2), (0, 1), (0, 0)])
+def test_from_edges_rejects_the_first_bad_edge_as_a_set_loop_does(n, edges):
+    message = oracles.reference_from_edges_error(n, edges)
+    if message is None:
+        assert CitationGraph.from_edges(n, edges).edges == set(edges)
+    else:
+        with pytest.raises(DataError) as exc:
+            CitationGraph.from_edges(n, edges)
+        assert str(exc.value) == message
+
+
+def test_load_retains_little_beyond_meta(tmp_path):
+    # about 20k papers and 100k edges.  The graph holds three CSR views
+    # (about 32 bytes per edge) and the id map; the metadata holds the id
+    # strings.  Per-edge tuples and sets, as once stored, took over 400
+    # bytes per edge.
+    rng = np.random.default_rng(5)
+    n, e = 20_000, 100_000
+    keys = rng.choice(n * (n - 1), size=e, replace=False)
+    citing, step = np.divmod(keys, n - 1)
+    cited = (citing + 1 + step) % n  # never citing itself
+    path = tmp_path / "big.tsv"
+    path.write_text("".join(f"p{u}\tp{v}\n" for u, v in zip(citing.tolist(), cited.tolist())))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g, report = load_graph_files(path)
+        with_graph = tracemalloc.get_traced_memory()[0] - base
+        meta, stats = g.meta, g.stats()
+        del g
+        gc.collect()
+        meta_only = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert report == LoadReport() and stats.edge_count == e and stats.n == len(meta)
+    assert (with_graph - meta_only) / e <= 64
 
 
 def test_stats_on_fixtures(shared_graph):
