@@ -195,7 +195,14 @@ def _read_pairs(path, g) -> list:
                 f"{path}:{lineno}: unknown tag {tag!r} "
                 f"(expected one of {', '.join(evaluate.CASE_TAGS)})"
             )
-        pairs.append((g.id_of(p_ext), g.id_of(q_ext), tag))
+        try:
+            p, q = g.id_of(p_ext), g.id_of(q_ext)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if p == q:
+            raise DataError(f"{path}:{lineno}: case pair ({p_ext!r}, {q_ext!r}) "
+                            "must name two distinct papers")
+        pairs.append((p, q, tag))
     if not pairs:
         raise DataError(f"{path}: no case pairs found")
     return pairs
@@ -302,7 +309,11 @@ def _verify_matrix(mat, path: str, summary: dict) -> int:
     return 0
 
 
-def run(spec: argparse.Namespace) -> int:
+def main(argv=None) -> int:
+    try:
+        spec = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
     try:
         return _dispatch(spec)
     except ConfigError as exc:
@@ -311,14 +322,6 @@ def run(spec: argparse.Namespace) -> int:
     except (DataError, OSError) as exc:
         print(f"citesim: error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    try:
-        spec = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return run(spec)
 
 
 def entry():

@@ -205,11 +205,11 @@ def convergence_trace(
     ``k_range`` replaces cfg's k_max and is validated as k_max is.
     """
     run_cfg = replace(cfg, k_max=k_range)
-    na = na_mask(g, cfg)
+    # the scored off-diagonal pairs p < q, read in packed order
+    keep = np.triu(~na_mask(g, cfg), 1)
     points = []
     for k, square in iteration_scores(g, run_cfg, threads):
-        scores, na_pairs = SimilarityMatrix.from_square(square, na).offdiag_packed()
-        mean, take = _mean_top(scores[~na_pairs], 10)
+        mean, take = _mean_top(square[keep], 10)
         points.append(TracePoint(k=k, mean_top10=mean, pairs_used=take))
     return points
 

@@ -344,15 +344,26 @@ def open_text(path, newline=None):
         raise
 
 
-@contextmanager
-def open_csv(path):
-    """A ``csv.reader`` with its defaults over ``open_text(path, newline="")``.
-    A row it refuses (a field over its size limit) raises
-    :class:`DataError` naming ``path:lineno``."""
+def csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, row)`` per record of a ``csv.reader`` with its
+    defaults over ``open_text(path, newline="")``, ``lineno`` the physical
+    line the row ends on.  The first row must be ``header``, blank rows are
+    skipped, and every other row holds one field per header name.  A row
+    that breaks a rule, or that the reader refuses (a field over its size
+    limit), raises :class:`DataError` naming ``path:lineno``."""
+    header, width = list(header), len(header)
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            yield reader
+            first = next(reader, None)
+            if first != header:
+                raise DataError(f"{path}: expected header '{','.join(header)}', got {first}")
+            for row in reader:
+                if len(row) == width:
+                    yield reader.line_num, row
+                elif row:
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{width} fields, got {len(row)}")
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -383,34 +394,23 @@ def read_edge_list(path) -> Iterator[tuple[str, str]]:
 
 
 def read_metadata(path) -> list[PaperMeta]:
-    """Read a metadata CSV with header ``external_id,title,year``."""
-    records = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header != ["external_id", "title", "year"]:
-            raise DataError(
-                f"{path}: expected header 'external_id,title,year', got {header}"
-            )
-        for row in reader:
-            lineno = reader.line_num  # the row's last physical line
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            ext, title, year_text = row
-            year = None
-            if year_text.strip():
-                try:
-                    year = int(year_text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: year {year_text!r} is not an integer"
-                    ) from None
+    """Read a metadata CSV with header ``external_id,title,year`` through
+    :func:`csv_rows`; each external id may have one row."""
+    records: dict[str, PaperMeta] = {}
+    for lineno, (ext, title, year_text) in csv_rows(path, ("external_id", "title", "year")):
+        if ext in records:
+            raise DataError(f"{path}:{lineno}: duplicate metadata for {ext!r}")
+        year = None
+        if year_text.strip():
             try:
-                records.append(PaperMeta(external_id=ext, title=title, year=year))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return records
+                year = int(year_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: year {year_text!r} is not an integer") from None
+        try:
+            records[ext] = PaperMeta(external_id=ext, title=title, year=year)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return list(records.values())
 
 
 def load_graph_files(graph_path, meta_path=None) -> tuple[CitationGraph, LoadReport]:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DataError
-from .graph import open_csv
+from .graph import csv_rows
 
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
@@ -162,8 +162,8 @@ class SimilarityMatrix:
 
     def na_count(self) -> int:
         """Number of unordered off-diagonal N/A pairs."""
-        _, na = self.offdiag_packed()
-        return int(na.sum())
+        # set_na may flag a diagonal cell; those are not pairs
+        return int(np.count_nonzero(self._na)) - int(np.count_nonzero(self._na[self._diag]))
 
     def _exported(self, cells: slice = slice(None)) -> np.ndarray:
         # packed flags of the pairs a matrix CSV holds: not N/A, score > 0
@@ -312,29 +312,23 @@ def write_matrix_csv(m: SimilarityMatrix, path):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read rows written by :func:`write_matrix_csv` into a structured array
-    of :data:`ROW_DTYPE`, in file order: ``for p, q, s in rows`` works."""
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header != ["p", "q", "score"]:
-            raise DataError(f"{path}: expected header 'p,q,score', got {header}")
+    """Read the :func:`csv_rows` of a :func:`write_matrix_csv` file into a
+    :data:`ROW_DTYPE` array, in file order: ``for p, q, s in rows`` works."""
+    lineno = 0
 
-        def parsed():
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise DataError(f"{path}:{reader.line_num}: expected 3 fields")
-                try:
-                    yield int(row[0]), int(row[1]), float(row[2])
-                except ValueError:
-                    raise DataError(f"{path}:{reader.line_num}: malformed row {row}") from None
+    def parsed():
+        nonlocal lineno
+        for lineno, (p, q, score) in csv_rows(path, ROW_DTYPE.names):
+            try:
+                yield int(p), int(q), float(score)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed row {[p, q, score]}") from None
 
-        try:
-            return np.fromiter(parsed(), dtype=ROW_DTYPE)
-        except OverflowError:
-            # the row just parsed holds an id that no int64 can hold
-            raise DataError(f"{path}:{reader.line_num}: id out of range") from None
+    try:
+        return np.fromiter(parsed(), dtype=ROW_DTYPE)
+    except OverflowError:
+        # the row just parsed holds an id that no int64 can hold
+        raise DataError(f"{path}:{lineno}: id out of range") from None
 
 
 def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:

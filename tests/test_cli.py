@@ -1,9 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import citesim
 from citesim import cli, fixtures
@@ -481,6 +485,114 @@ def test_undecodable_input_exits_2(shared_files, tmp_path, capsys):
     assert main(["validate", "--graph", edge, "--meta", meta, "--measure", "crank",
                  "--out", str(bad)]) == 2
     assert capsys.readouterr().err == f"citesim: error: {bad}:3: byte 0x80 is not UTF-8\n"
+
+
+def test_duplicate_metadata_names_its_line(shared_files, tmp_path, capsys):
+    edge, meta = shared_files
+    dup = tmp_path / "dup.csv"
+    dup.write_text(Path(meta).read_text() + "a,again,2001\n")  # header and 10 papers before it
+    assert main(["validate", "--graph", edge, "--meta", str(dup)]) == 2
+    assert capsys.readouterr().err == f"citesim: error: {dup}:12: duplicate metadata for 'a'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a\tb\tP1\n\nzz\tb\tP2\n", ":3: unknown paper id 'zz'"),
+    ("# c twice\nc\tc\tP3\n", ":2: case pair ('c', 'c') must name two distinct papers"),
+], ids=["unknown id", "one paper twice"])
+def test_pairs_errors_name_the_line_and_the_external_ids(shared_files, tmp_path, capsys,
+                                                          text, message):
+    edge, meta = shared_files
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(text)
+    assert main(["cases", "--graph", edge, "--meta", meta, "--pairs", str(pairs),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"citesim: error: {pairs}{message}\n"
+
+
+# -- no input file ends in a traceback ---------------------------------------
+
+# per input file: the separator of its fields, and the command that reads it
+# ({file}) beside the shared graph's edge list ({edge})
+INPUTS = {
+    "edge list": ("\t", "compute --graph {file} --measure crank --kmax 2 --out {out}"),
+    "metadata": (",", "validate --graph {edge} --meta {file}"),
+    "pairs": ("\t", "cases --graph {edge} --pairs {file} --measure crank --kmax 2 --out {out}"),
+    "corpus": ("\t", "eval --graph {edge} --corpus {file} --measure crank --kmax 2 --m 2 "
+                     "--out {out}"),
+    "matrix": (",", "validate --graph {edge} --measure crank --kmax 2 --out {file}"),
+}
+# drawn fields: ids of the shared graph, one it lacks, numbers, tags and junk
+FIELDS = st.sampled_from(["a", "b", "c", "j", "zz", "", " ", "-1", "0", "3", "9", "10", "0.5",
+                          "1e400", "nan", "1999", "1492", "99999999999999999999", '"',
+                          '"x,y"', "#", "[f]", "[]", "P1", "P3", "P9"])
+ODD_LINES = st.sampled_from([b"", b"\xff", b"a\xc3(", b"x\t\xe2\x82", b"a\rb"])
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The directory of the shared graph's files, and each input file's
+    lines (bytes) in a form every command accepts."""
+    root = tmp_path_factory.mktemp("inputs")
+    g = fixtures.shared_neighbor_graph()
+    fixtures.write_edge_file(g, root / "edge")
+    fixtures.write_meta_file(g, root / "meta")
+    assert main(["compute", "--graph", str(root / "edge"), "--measure", "crank", "--kmax", "2",
+                 "--out", str(root / "matrix")]) == 0
+    lines = {kind: (root / name).read_bytes().splitlines()
+             for kind, name in (("edge list", "edge"), ("metadata", "meta"), ("matrix", "matrix"))}
+    lines["pairs"] = [b"# pairs", b"a\tb\tP1", b"c\tj\tP3"]
+    lines["corpus"] = [b"[one]", b"a", b"b", b"[two]", b"c", b"j"]
+    return root, lines
+
+
+def edited(lines, sep):
+    """A file of ``lines`` with up to four lines replaced or inserted, ended
+    by LF or CRLF.  A new line is a row of 1-4 drawn fields, an odd line
+    (blank, not UTF-8, a lone CR), or a copy of one of ``lines`` with one
+    field drawn anew or none (a repeated id)."""
+    sep = sep.encode()
+
+    def copy(line, i, field):
+        fields = line.split(sep)
+        if i < len(fields):
+            fields[i] = field.encode()
+        return sep.join(fields)
+
+    row = st.lists(FIELDS.map(str.encode), min_size=1, max_size=4).map(sep.join)
+    copied = st.builds(copy, st.sampled_from(lines), st.integers(0, 3), FIELDS)
+    edit = st.tuples(st.integers(0, len(lines)), st.booleans(), row | ODD_LINES | copied)
+
+    def build(edits, end):
+        out = list(lines)
+        for at, insert, line in edits:
+            out[at:at + (not insert)] = [line]
+        return end.join(out) + end
+
+    return st.builds(build, st.lists(edit, max_size=4), st.sampled_from([b"\n", b"\r\n"]))
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_no_input_file_ends_in_a_traceback(valid_inputs, kind, data):
+    root, lines = valid_inputs
+    sep, command = INPUTS[kind]
+    path = root / f"drawn-{kind.replace(' ', '-')}"
+    path.write_bytes(data.draw(edited(lines[kind], sep)))
+    argv = command.format(file=path, edge=root / "edge", out=root / "out.csv").split()
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+    elif kind == "matrix" and err.startswith("mismatch at pair"):
+        # validate's report: the JSON names the file, stderr lists the pairs
+        assert json.loads(out.getvalue())["matrix_file"] == str(path)
+        assert all(line.startswith("mismatch at pair (") for line in err.splitlines())
+    else:
+        assert err.startswith(f"citesim: error: {path}") and len(err.splitlines()) == 1, err
+        assert err.endswith("\n")
 
 
 # -- the process entry point -------------------------------------------------

@@ -353,6 +353,14 @@ def test_read_metadata_rejects_bad_year(tmp_path):
         read_metadata(path)
 
 
+def test_read_metadata_rejects_a_repeated_id_at_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("external_id,title,year\na,x,1999\nb,,\n\na,y,2001\n")
+    with pytest.raises(DataError) as err:
+        read_metadata(path)
+    assert str(err.value) == f"{path}:5: duplicate metadata for 'a'"
+
+
 def test_file_round_trip(tmp_path, gap_graph):
     edge_path = tmp_path / "g.tsv"
     meta_path = tmp_path / "m.csv"

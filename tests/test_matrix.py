@@ -159,3 +159,11 @@ def test_read_matrix_csv_rejects_garbage(tmp_path):
     path.write_text('p,q,score\n0,0,"1\n"\n0,x,0.5\n')
     with pytest.raises(DataError, match=r":4: malformed"):
         read_matrix_csv(path)
+
+
+def test_read_matrix_csv_names_the_field_count(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("p,q,score\n0,0,1\n\n0,1,0.5,7\n")
+    with pytest.raises(DataError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}:4: expected 3 fields, got 4"
