@@ -40,18 +40,17 @@ p < q, and copy it onto (q, p).  So their second product is summed, scaled
 and added up over the lower triangle of S.T only (for rows r0:r1, columns
 :r1): each kept element is the same sum as over the full square, at about
 half the work.  Each row block is scaled and added up in the pass that
-summed it, and the last view's pass also sets the block's diagonal and
-copies its rows onto the upper triangle.  The Jaccard recursion's union
-counts are exact, so its second cross weight is the first one's transpose
-bit for bit, and its update is exactly symmetric as summed.  It holds no
-weight square: it keeps the shared-neighbor counts, in the smallest
-unsigned type that holds the largest degree (one byte per pair below 256),
-and once both products of a step are summed, one pass rebuilds each row
-block's weights from the counts and the degrees, with the operations of a
-whole-square setup, and writes the block's lower triangle of the new
-iterate and its mirror image.  The pass that finishes a row block also
-gives the block's largest change from the previous iterate, so a run's
-delta costs no pass of its own.
+summed it.  The Jaccard recursion's union counts are exact, so its second
+cross weight is the first one's transpose bit for bit, and its update is
+exactly symmetric as summed.  It holds no weight square: it keeps the
+shared-neighbor counts, in the smallest unsigned type that holds the
+largest degree (one byte per pair below 256), and once both products of a
+step are summed, one pass rebuilds each row block's weights from the
+counts and the degrees, with the operations of a whole-square setup.  The
+last pass of either recursion ends each row block with :func:`_close_rows`
+(1.0 on its diagonal, its lower triangle copied onto the upper one), as an
+``initial`` start is closed on its transpose, and gives the block's largest
+change from the previous iterate, so a run's delta costs no pass of its own.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -76,7 +75,7 @@ import threading
 import warnings
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import iand
 from typing import Callable, Iterator, Optional
 
@@ -363,14 +362,20 @@ def _degrees(op) -> np.ndarray:
     return np.diff(op[0]).astype(float)
 
 
-def _mirror(a: np.ndarray) -> np.ndarray:
-    # One canonical float per unordered pair: the upper-triangle value wins.
-    # The two float values for (p,q) and (q,p) of an ``initial`` start need
-    # not agree, and the recursions read an exactly symmetric square.  Works
-    # in place.
-    for p in range(1, a.shape[0]):
-        a[p, :p] = a[:p, p]
-    return a
+@cache
+def _upper() -> np.ndarray:
+    # built at first use: numpy work at import grows every process's RSS
+    return np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
+
+
+def _close_rows(square: np.ndarray, r0: int, r1: int):
+    """Set the diagonal of rows r0:r1 of a square to 1.0 and copy their
+    lower triangle, in their first r1 columns, onto the upper one.  Once two
+    iterates are closed, those columns hold every change between them."""
+    square[:r0, r0:r1] = square[r0:r1, :r0].T
+    diag = square[r0:r1, r0:r1]
+    np.fill_diagonal(diag, 1.0)
+    np.copyto(diag, diag.T, where=_upper()[:r1 - r0, :r1 - r0])
 
 
 def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
@@ -509,10 +514,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
                 out += inv
                 out += jac
                 out *= C
-            np.fill_diagonal(out[:, r0:], 1.0)
-            cur[:r0, r0:r1] = out[:, :r0].T
-            # both squares are exactly symmetric, so the lower triangle
-            # holds every difference
+            _close_rows(cur, r0, r1)
             return _block_delta(out, prev[r0:r1, :r1], jac)
 
         def step(prev: np.ndarray, from_identity: bool):
@@ -545,7 +547,6 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         prepared.append((_plan((op,)), _plan(_lanes(op)), w,
                          _guarded_inverse(np.outer(degrees, degrees)), codes, ones))
     x = np.empty((n, n))
-    upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool), 1)
 
     def lower_block(r0, r1, steps, scratch, w, table, codes, low, prev, first, last):
         # rows r0:r1 of S.T over its first r1 columns, which hold the
@@ -567,14 +568,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         else:
             out += blk
         if last:
-            # the block's rows are final: set its diagonal and copy its
-            # lower triangle onto the upper one (the lower triangle wins)
-            low[:r0, r0:r1] = out[:, :r0].T
-            diag = low[r0:r1, r0:r1]
-            np.fill_diagonal(diag, 1.0)
-            np.copyto(diag, diag.T, where=upper[:h, :h])
-            # both squares are exactly symmetric, so the lower triangle
-            # holds every difference
+            _close_rows(low, r0, r1)
             return _block_delta(out, prev[r0:r1, :r1], acc)
 
     def step(prev: np.ndarray, from_identity: bool):
@@ -631,8 +625,9 @@ def iteration_scores(
         prev = np.array(initial, dtype=float)
         if prev.shape != (g.n, g.n):
             raise ValueError(f"initial scores must be {g.n}x{g.n}")
-        np.fill_diagonal(prev, 1.0)
-        prev = _mirror(prev)
+        # the recursions read one float per pair: prev's upper triangle wins
+        for r0 in range(0, g.n, _BLOCK_ROWS):
+            _close_rows(prev.T, r0, min(r0 + _BLOCK_ROWS, g.n))
     with _block_pool(threads, g.n) as each_block:
         step = _make_step(g, cfg, each_block)
         for k in range(1, cfg.k_max + 1):
@@ -803,10 +798,8 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
         mat, _ = iterate_pairwise(g, cfg, threads)
         return mat.dense_scores()
 
-    op = g.csr("in")
-    with _block_pool(threads, g.n) as each_block:
-        counts = _shared_counts(op, _plan((op,)), each_block)
-    deg = _degrees(op)
+    counts = cocitation(g, MeasureConfig("cocitation"), threads).dense_scores()
+    deg = _degrees(g.csr("in"))
     denom = np.outer(deg, deg)
     pos = denom > 0.0
     ref = np.where(pos, counts / np.where(pos, denom, 1.0), 0.0)

@@ -368,6 +368,13 @@ def csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def plain_ascii(text: str) -> str:
+    """``text``; ValueError where ``int`` or ``float`` would read a ``_`` or a non-ASCII digit."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not plain ASCII")
+    return text
+
+
 def read_tab_lines(path) -> Iterator[tuple[int, str, list[str]]]:
     """Yield ``(lineno, line, fields)`` per tab-separated line of an
     :func:`open_text` file, numbered from 1 and without its line ending;
@@ -403,7 +410,7 @@ def read_metadata(path) -> list[PaperMeta]:
         year = None
         if year_text.strip():
             try:
-                year = int(year_text)
+                year = int(plain_ascii(year_text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: year {year_text!r} is not an integer") from None
         try:

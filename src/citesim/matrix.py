@@ -2,9 +2,9 @@
 
 Scores live on unordered pairs (p, q) with p <= q; one cell per pair, so
 symmetry is structural rather than a runtime promise.  N/A marks pairs whose
-measure is undefined (an empty required neighborhood); an N/A pair still
-reads as 0.0 through :meth:`SimilarityMatrix.get` so numeric consumers never
-see a sentinel, and :meth:`is_na` carries the distinction.
+measure is undefined (an empty required neighborhood); an N/A pair stores
++0.0, so it reads as 0.0 through every score view and numeric consumers
+never see a sentinel, and :meth:`is_na` carries the distinction.
 
 Storage is one packed row-major upper triangle, diagonal included: a
 float64 array of scores and a bool array of N/A flags, n*(n+1)/2 cells
@@ -19,8 +19,10 @@ v = M * 2**E is scaled to the 17-digit quotient M * 5**(16-X) * 2**(E+16-X),
 X = floor(log10 v), with the product held in two uint64 limbs (it is below
 2**116) and the shift rounded half to even on the exact remainder, so the
 bytes are those of ``%``.  Any other exported score (below 1e-10, from 2**53
-up, inf) is formatted by ``%`` in its place.  A chunk's temporaries peak at
-about 2 MB whatever n is.
+up, inf) is formatted by ``%`` in its place.  A line is laid out in fixed
+columns, NUL wherever a field has no byte (an id's padding, a fraction's
+trailing zeros, a point with no digit after it), and written with every
+NUL dropped.  A chunk's temporaries peak at about 2 MB whatever n is.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DataError
-from .graph import csv_rows
+from .graph import csv_rows, plain_ascii
 
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
@@ -89,7 +91,8 @@ class SimilarityMatrix:
         """Pack a full square score array (and optional N/A mask).
 
         Only the upper triangle including the diagonal is read, so the
-        lower triangle need not be filled or symmetrized.
+        lower triangle need not be filled or symmetrized.  N/A pairs store
+        +0.0, whatever the square holds there.
         """
         n = square.shape[0]
         if square.shape != (n, n):
@@ -99,14 +102,14 @@ class SimilarityMatrix:
             m._scores[cells] = square[p, p:]
             if na is not None:
                 m._na[cells] = na[p, p:]
+        m._scores[m._na] = 0.0
         return m
 
     # -- element access ----------------------------------------------------
 
     def get(self, p: int, q: int) -> float:
         """Score for the unordered pair; N/A pairs read as 0.0."""
-        i = self._cell(p, q)
-        return 0.0 if self._na[i] else float(self._scores[i])
+        return float(self._scores[self._cell(p, q)])
 
     def is_na(self, p: int, q: int) -> bool:
         return bool(self._na[self._cell(p, q)])
@@ -125,19 +128,16 @@ class SimilarityMatrix:
 
     def _row_index(self, p: int) -> np.ndarray:
         # packed index of the pair (p, q) for every q
+        if not 0 <= p < self.n:
+            raise ValueError(f"paper id {p} out of range [0, {self.n})")
         q = np.arange(self.n)
         return self._idx(np.minimum(p, q), np.maximum(p, q))
 
     def row_scores(self, p: int) -> np.ndarray:
         """All scores against p as a length-n array (N/A entries read 0.0)."""
-        if not 0 <= p < self.n:
-            raise ValueError(f"paper id {p} out of range [0, {self.n})")
-        i = self._row_index(p)
-        return np.where(self._na[i], 0.0, self._scores[i])
+        return self._scores[self._row_index(p)]
 
     def row_na(self, p: int) -> np.ndarray:
-        if not 0 <= p < self.n:
-            raise ValueError(f"paper id {p} out of range [0, {self.n})")
         return self._na[self._row_index(p)]
 
     def _square(self, packed: np.ndarray) -> np.ndarray:
@@ -149,7 +149,7 @@ class SimilarityMatrix:
 
     def dense_scores(self) -> np.ndarray:
         """Full square score array; intended for desk-scale n."""
-        return self._square(np.where(self._na, 0.0, self._scores))
+        return self._square(self._scores)
 
     def dense_na(self) -> np.ndarray:
         return self._square(self._na)
@@ -166,8 +166,8 @@ class SimilarityMatrix:
         return int(np.count_nonzero(self._na)) - int(np.count_nonzero(self._na[self._diag]))
 
     def _exported(self, cells: slice = slice(None)) -> np.ndarray:
-        # packed flags of the pairs a matrix CSV holds: not N/A, score > 0
-        return ~self._na[cells] & (self._scores[cells] > 0.0)
+        # packed flags of the pairs a matrix CSV holds: score > 0, never N/A
+        return self._scores[cells] > 0.0
 
     def entries_above(self) -> Iterator[tuple[int, int, float]]:
         """Yield (p, q, score) for each row :func:`write_matrix_csv` writes."""
@@ -220,8 +220,9 @@ def _quotient(m, e, x):
 
 
 def _score_text(v: np.ndarray, text: np.ndarray):
-    """Fill row i of the uint8 text, c x (_SCORE_WIDTH + 1), with
-    ``SCORE_FORMAT % v[i]``, a newline and NUL padding, for positive v."""
+    """Fill row i of the uint8 text, c x (_SCORE_WIDTH + 1), for positive v:
+    with its NULs dropped it is ``SCORE_FORMAT % v[i]`` and a newline, which
+    is always in the last column."""
     exact = (v >= 1e-10) & (v < 2.0 ** 53)
     w = np.where(exact, v, 1.0)
     bits = w.view(np.uint64)
@@ -241,47 +242,42 @@ def _score_text(v: np.ndarray, text: np.ndarray):
     x += carry
 
     # one row per byte, one column per score: z holds four zeros (for
-    # 0.000ddd), the 17 digits of d and a point
+    # 0.000ddd), the 17 digits of d, a NUL, a point and a newline
     c = v.size
-    z = np.empty((22, c), dtype=np.uint8)
-    z[:4], z[21] = ord("0"), ord(".")
+    z = np.empty((24, c), dtype=np.uint8)
+    z[:4], z[21], z[22], z[23] = ord("0"), 0, ord("."), ord("\n")
     for k in range(20, 3, -1):
         rest = d // 10
         z[k] = d - 10 * rest + ord("0")
         d = rest
-    n = ((z[4:21] != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
     # %g: fixed form for -4 <= x < 17, else one digit before the point and
     # an exponent.  Either way the text is the digits before the point (a
-    # single "0" for 0.000ddd), the point, then the digits after it: for
-    # each place of the point one pattern of rows of z, the commonest laid
-    # out for every score and the others where they hold
+    # single "0" for 0.000ddd), the point, then the digits after it, whose
+    # trailing zeros are dropped, and the point with them if no digit is left
     fixed = x >= -4
     point = np.where(fixed, x, 0)
+    n = ((z[4:21] != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    z[4:21] *= np.arange(17)[:, None] < np.maximum(n, point + 1)
+    z[22] *= n > point + 1
+    # for each place of the point one pattern of rows of z, the commonest
+    # laid out for every score and the others where they hold
     places = np.bincount(point + 4)
-    col = np.arange(_SCORE_WIDTH + 1, dtype=np.uint8)
+    col = np.arange(_SCORE_WIDTH + 1)
     out = np.empty((col.size, c), dtype=np.uint8)
     for i, at in enumerate(np.argsort(-places, kind="stable")[:np.count_nonzero(places)] - 4):
         lead = max(at, 0) + 1
-        src = np.minimum(4 + min(at, 0) + col - (col > lead), 20)
-        src[lead] = 21
+        src = np.minimum(4 + min(at, 0) + col - (col > lead), 21)
+        src[lead], src[-1] = 22, 23
         cols = np.flatnonzero(point == at) if i else slice(None)
         out[:, cols] = z[src][:, cols]
-    frac = np.maximum(n - point - 1, 0)
-    length = np.maximum(point, 0) + 1 + (frac > 0) + frac
-    sci = np.flatnonzero(~fixed)
-    for i, byte in enumerate((ord("e"), ord("-"), -x[sci] // 10 + ord("0"),
-                              -x[sci] % 10 + ord("0"))):
-        out[length[sci] + i, sci] = byte
-    length[sci] += 4
+    sci = np.flatnonzero(~fixed)  # the exponent follows the 17th digit
+    out[18, sci], out[19, sci] = ord("e"), ord("-")
+    out[20, sci], out[21, sci] = -x[sci] // 10 + ord("0"), -x[sci] % 10 + ord("0")
 
     other = np.flatnonzero(~exact)
     if other.size:
         texts = [SCORE_FORMAT % s for s in v[other].tolist()]
         out[:_SCORE_WIDTH, other] = np.array(texts, dtype=f"S{_SCORE_WIDTH}")[:, None].view(np.uint8).T
-        length[other] = [len(t) for t in texts]
-    length = length.astype(np.uint8)
-    out *= col[:, None] < length
-    out += (col[:, None] == length) * np.uint8(ord("\n"))
     text[:] = out.T
 
 
@@ -297,7 +293,8 @@ def _id_text(n: int) -> np.ndarray:
 
 def write_matrix_csv(m: SimilarityMatrix, path):
     """Write `p,q,score` rows (p <= q, score > 0, N/A omitted), the score
-    as ``SCORE_FORMAT % score``, one chunk of packed cells per write."""
+    as ``SCORE_FORMAT % score``, one chunk of packed cells per write, each
+    line's fixed columns with their NULs dropped."""
     ids = _id_text(m.n)
     start = 2 * ids.itemsize  # the score's first column in a line
     with open(path, "wb") as fh:
@@ -307,7 +304,7 @@ def write_matrix_csv(m: SimilarityMatrix, path):
             line = np.empty((cells.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
             line[:, :start] = ids[m._pairs(cells)].view(np.uint8).reshape(cells.size, start)
             _score_text(m._scores[cells], line[:, start:])
-            # a line is its bytes up to the NUL padding of each field
+            # a line is its bytes with every NUL dropped
             fh.write(line[line != 0].tobytes())
 
 
@@ -320,6 +317,7 @@ def read_matrix_csv(path) -> np.ndarray:
         nonlocal lineno
         for lineno, (p, q, score) in csv_rows(path, ROW_DTYPE.names):
             try:
+                plain_ascii(p + q + score)
                 yield int(p), int(q), float(score)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed row {[p, q, score]}") from None

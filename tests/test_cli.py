@@ -226,6 +226,14 @@ def test_usage_problems_exit_1(shared_files, tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_empty_m_list_is_a_usage_error(shared_files, tmp_path, capsys):
+    edge, _ = shared_files
+    assert main(["eval", "--graph", edge, "--corpus", "c.txt", "--m", ",",
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --m: at least one m value required\n")
+
+
 def test_nonpositive_m_is_a_usage_error(shared_files, tmp_path, capsys):
     edge, meta = shared_files
     corpus = tmp_path / "corpus.txt"

@@ -6,7 +6,9 @@ import pytest
 
 from citesim import engine, fixtures
 from citesim.engine import (
+    IdentityCheck,
     MeasureConfig,
+    ReductionReport,
     amsler,
     cocitation,
     compute,
@@ -42,6 +44,8 @@ def test_config_defaults():
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         MeasureConfig("pagerank")
+    with pytest.raises(ConfigError, match="unknown normalization 'bogus'"):
+        MeasureConfig("crank", "bogus")
     with pytest.raises(ConfigError):
         MeasureConfig("simrank", "jaccard")
     with pytest.raises(ConfigError):
@@ -283,6 +287,22 @@ def test_custom_start_forces_diagonal(shared_graph):
     assert np.array_equal(square, square.T)
 
 
+def test_custom_start_must_match_the_graph(shared_graph):
+    n = shared_graph.n
+    with pytest.raises(ValueError, match=f"initial scores must be {n}x{n}"):
+        next(iteration_scores(shared_graph, MeasureConfig("crank"), initial=np.eye(n + 1)))
+
+
+def test_custom_start_reads_its_upper_triangle():
+    g = fixtures.random_graph(150, 0.03, 1)  # three row blocks
+    start = np.random.default_rng(1).random((g.n, g.n))
+    upper = np.triu(start) + np.triu(start, 1).T
+    for cfg in (MeasureConfig("crank", k_max=2), MeasureConfig("prank", k_max=2)):
+        got = [square.tobytes() for _, square in iteration_scores(g, cfg, initial=start)]
+        want = [square.tobytes() for _, square in iteration_scores(g, cfg, initial=upper)]
+        assert got == want, cfg.label()
+
+
 def test_empty_and_single_node_graphs():
     empty = CitationGraph.from_edges(0, [])
     single = CitationGraph.from_edges(1, [])
@@ -408,6 +428,14 @@ def test_reduction_identities_on_fixtures(shared_graph, gap_graph):
         assert report.passed, report.failures()
         for check in report.checks:
             assert check.max_abs_diff <= check.tolerance == 1e-12
+
+
+def test_reduction_report_lists_its_failed_checks():
+    good = IdentityCheck("good", 0.0, 1e-12, True)
+    bad = IdentityCheck("bad", 1.0, 1e-12, False)
+    report = ReductionReport((good, bad))
+    assert not report.passed
+    assert report.failures() == [bad]
 
 
 def test_identical_runs_are_bit_identical():

@@ -181,6 +181,9 @@ def test_benchmark_argument_validation(shared_graph):
     bad = EvalCorpus(name="t", fields={"f": frozenset({0, 99})})
     with pytest.raises(DataError):
         run_benchmark(shared_graph, bad, [MeasureConfig("crank")], [10])
+    lone = EvalCorpus(name="t", fields={"f": frozenset({0})})
+    with pytest.raises(DataError, match="field 'f' has fewer than 2 papers"):
+        run_benchmark(shared_graph, lone, [MeasureConfig("crank")], [10])
 
 
 # -- histograms --------------------------------------------------------------

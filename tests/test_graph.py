@@ -263,6 +263,13 @@ def test_from_edges_is_strict():
         CitationGraph.from_edges(3, [(0, 5)])
     with pytest.raises(DataError):
         CitationGraph.from_edges(2, [(0, 1)], meta=[PaperMeta("only-one")])
+    with pytest.raises(DataError, match="external ids are not unique"):
+        CitationGraph.from_edges(2, [(0, 1)], meta=[PaperMeta("a"), PaperMeta("a")])
+
+
+def test_star_graph_needs_a_referrer():
+    with pytest.raises(ValueError, match="need at least one referrer"):
+        fixtures.star_graph(0)
 
 
 def test_paper_meta_validation():
@@ -273,6 +280,12 @@ def test_paper_meta_validation():
     assert PaperMeta("x", year=1900).year == 1900
     assert PaperMeta("x", year=2100).year == 2100
     assert PaperMeta("x").year is None
+
+
+def test_load_graph_rejects_an_empty_id():
+    for edge in (("", "B"), ("A", "")):
+        with pytest.raises(DataError, match="empty paper id in edge stream"):
+            load_graph([("A", "B"), edge])
 
 
 def test_duplicate_meta_rejected():
@@ -351,6 +364,16 @@ def test_read_metadata_rejects_bad_year(tmp_path):
     path.write_text('external_id,title,year\nA,"two\nlines",1999\nB,x,soon\n')
     with pytest.raises(DataError, match=r"m\.csv:4:"):
         read_metadata(path)
+
+
+@pytest.mark.parametrize("year", ["19_99", "\uff11\uff19\uff19\uff19"])
+def test_read_metadata_rejects_digit_separators_and_non_ascii_digits(tmp_path, year):
+    # int() reads both forms as 1999
+    path = tmp_path / "m.csv"
+    path.write_text(f"external_id,title,year\na,x,1999\nb,y,{year}\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_metadata(path)
+    assert str(err.value) == f"{path}:3: year {year!r} is not an integer"
 
 
 def test_read_metadata_rejects_a_repeated_id_at_its_line(tmp_path):

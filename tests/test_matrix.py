@@ -91,8 +91,26 @@ def test_out_of_range_pairs_rejected():
         m.set(-1, 0, 0.5)
     with pytest.raises(ValueError):
         m.row_scores(3)
+    with pytest.raises(ValueError, match=r"paper id 3 out of range \[0, 3\)"):
+        m.row_na(3)
     with pytest.raises(ValueError):
         SimilarityMatrix(-1)
+
+
+def test_from_square_requires_a_square():
+    with pytest.raises(ValueError, match="square score array required"):
+        SimilarityMatrix.from_square(np.zeros((2, 3)))
+
+
+def test_from_square_stores_plus_zero_at_na_pairs():
+    square = np.array([[1.0, 0.7, -0.0], [0.7, 1.0, -0.0], [-0.0, -0.0, 1.0]])
+    na = np.zeros((3, 3), dtype=bool)
+    na[0, 1] = na[0, 2] = True
+    ref = SimilarityMatrix(3)
+    ref.set_na(0, 1)
+    ref.set_na(0, 2)
+    ref.set(1, 2, -0.0)
+    assert SimilarityMatrix.from_square(square, na=na).same_bits(ref)
 
 
 def test_same_bits_detects_single_ulp():
@@ -159,6 +177,23 @@ def test_read_matrix_csv_rejects_garbage(tmp_path):
     path.write_text('p,q,score\n0,0,"1\n"\n0,x,0.5\n')
     with pytest.raises(DataError, match=r":4: malformed"):
         read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("row", [["1_0", "10", "0.5"], ["0", "1", "0.2_5"],
+                                 ["\uff11", "1", "0.5"], ["0", "1", "0.\uff15"]])
+def test_read_matrix_csv_rejects_digit_separators_and_non_ascii_digits(tmp_path, row):
+    # int() and float() read each of these as a number
+    path = tmp_path / "m.csv"
+    path.write_text("p,q,score\n0,0,1\n" + ",".join(row) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}:3: malformed row {row}"
+
+
+def test_read_matrix_csv_keeps_the_sign_and_spaces_int_allows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("p,q,score\n-1, 2 , 0.5\n")
+    assert read_matrix_csv(path).tolist() == [(-1, 2, 0.5)]
 
 
 def test_read_matrix_csv_names_the_field_count(tmp_path):
