@@ -49,6 +49,7 @@ import gc
 import json
 import sys
 from dataclasses import asdict, fields
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -56,8 +57,9 @@ import numpy as np
 from . import evaluate
 from .engine import MEASURES, NORMALIZATIONS, MeasureConfig, compute, top_k
 from .errors import ConfigError, DataError
-from .graph import load_graph_files, read_tab_lines
-from .matrix import SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv, write_table
+from .graph import csv_rows, load_graph_files, plain_ascii, read_tab_lines
+from .matrix import (ROW_DTYPE, SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv,
+                     write_table)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _m_list(text: str) -> tuple:
     try:
-        values = tuple(int(t) for t in text.split(",") if t.strip())
+        values = tuple(int(plain_ascii(t)) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -88,6 +90,8 @@ def _build_parser() -> _Parser:
     default = {f.name: f.default for f in fields(MeasureConfig)}
 
     def add_common(p, out_required=True, measure_required=False):
+        for kind in (int, float):  # numeric flags take plain ASCII only, as the CSV readers do
+            p.register("type", kind, lambda text, kind=kind: kind(plain_ascii(text)))
         p.add_argument("--graph", required=True, help="edge-list file, citing<TAB>cited")
         p.add_argument("--meta", help="optional CSV: external_id,title,year")
         p.add_argument("--measure", choices=MEASURES, required=measure_required)
@@ -291,7 +295,11 @@ def _dispatch(spec: argparse.Namespace) -> int:
 def _verify_matrix(mat, path: str, summary: dict) -> int:
     """Compare the CSV export at ``path`` with ``mat`` entry for entry."""
     rows = read_matrix_csv(path)
-    missing, extra, changed = diff = compare_rows(mat, rows, path)
+    try:
+        missing, extra, changed = diff = compare_rows(mat, rows, path)
+    except DataError as exc:  # name the bad row's line: read the file again up to it
+        lineno, _ = next(islice(csv_rows(path, ROW_DTYPE.names), exc.row, None))
+        raise DataError(f"{path}:{lineno}{str(exc).removeprefix(path)}") from None
     first = np.concatenate(diff)[:10].tolist()  # missing, unexpected, mismatched
     print(json.dumps({
         **summary,

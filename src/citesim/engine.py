@@ -739,8 +739,6 @@ def top_k(
     when fewer than ``count`` positive partners exist, and only if
     ``zero_fill`` is on.
     """
-    if not 0 <= query < m.n:
-        raise ValueError(f"query id {query} out of range [0, {m.n})")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     scores = m.row_scores(query)

@@ -1,16 +1,16 @@
 """Retrieval-quality evaluation over similarity matrices.
 
 Given ground-truth reference lists (named fields of related papers), each
-member paper is used in turn as a query and the measure is scored by how
-many of its top-m partners fall in the same field.  Also here: score
-distribution histograms with an explicit N/A bucket, per-iteration top-score
-traces, and a score table for hand-tagged hard pairs.
+member paper is a query, ranked once to the largest m, and the measure is
+scored by how many of its top-m partners fall in the same field.  Also
+here: score histograms with an explicit N/A bucket, per-iteration
+top-score traces, and a score table for hand-tagged hard pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,44 +54,31 @@ def load_corpus(path, g: CitationGraph) -> tuple[EvalCorpus, CorpusReport]:
     supply a query/target split and are dropped (also reported).  Raises if
     nothing usable remains.
     """
-    raw: dict[str, list[str]] = {}
-    current: Optional[str] = None
+    resolved: dict[str, set] = {}
+    unresolved: dict[str, list] = {}
+    current = None  # the field that the lines read now belong to
     for lineno, line, _ in read_tab_lines(path):
         line = line.strip()
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name:
+            current = line[1:-1].strip()
+            if not current:
                 raise DataError(f"{path}:{lineno}: empty field name")
-            if name in raw:
-                raise DataError(f"{path}:{lineno}: duplicate field {name!r}")
-            raw[name] = []
-            current = name
+            if current in resolved:
+                raise DataError(f"{path}:{lineno}: duplicate field {current!r}")
+            resolved[current] = set()
         elif current is None:
             raise DataError(f"{path}:{lineno}: paper id before any [field] header")
         else:
-            raw[current].append(line)
-
-    unresolved: dict[str, tuple] = {}
-    dropped = []
-    fields = {}
-    for name, ids in raw.items():
-        resolved = set()
-        missing = []
-        for ext in ids:
             try:
-                resolved.add(g.id_of(ext))
+                resolved[current].add(g.id_of(line))
             except DataError:
-                missing.append(ext)
-        if missing:
-            unresolved[name] = tuple(missing)
-        if len(resolved) < 2:
-            dropped.append(name)
-        else:
-            fields[name] = frozenset(resolved)
+                unresolved.setdefault(current, []).append(line)
+    fields = {name: frozenset(ids) for name, ids in resolved.items() if len(ids) >= 2}
     if not fields:
         raise DataError(f"{path}: no field resolves at least 2 papers in the graph")
-    corpus = EvalCorpus(name=Path(str(path)).stem, fields=fields)
-    return corpus, CorpusReport(unresolved=unresolved, dropped_fields=tuple(dropped))
+    return (EvalCorpus(name=Path(str(path)).stem, fields=fields),
+            CorpusReport(unresolved={name: tuple(ids) for name, ids in unresolved.items()},
+                         dropped_fields=tuple(name for name in resolved if name not in fields)))
 
 
 @dataclass(frozen=True)
@@ -104,17 +91,15 @@ def precision_at_m(m: SimilarityMatrix, query: int, reference: Iterable[int],
                    count: int) -> float:
     """Fraction of the top-``count`` partners that land in the reference set.
 
-    The query is not its own target.  Fewer than ``count`` rankable partners
-    still divide by ``count``: an unfillable slot is a miss.  Zero-score
-    papers are not ranked (a zero carries no evidence of relatedness).
-    """
+    The query is not its own target (:func:`top_k` never ranks it).  Fewer
+    than ``count`` rankable partners still divide by ``count``: an unfillable
+    slot is a miss.  Zero-score papers are not ranked (a zero carries no
+    evidence of relatedness)."""
     reference = set(reference)
     if query not in reference:
         raise ValueError("query must be a member of its reference field")
-    targets = reference - {query}
     ranked = top_k(m, query, count, zero_fill=False)
-    hits = sum(1 for entry in ranked if entry.paper in targets)
-    return hits / count
+    return sum(1 for entry in ranked if entry.paper in reference) / count
 
 
 def run_benchmark(
@@ -124,7 +109,11 @@ def run_benchmark(
     m_values: Sequence[int],
     threads: int = 1,
 ) -> PrecisionTable:
-    """Mean precision@m per measure, every field member queried once."""
+    """Mean precision@m per measure, every field member queried once.
+
+    One :func:`top_k` ranking per (measure, query), to the largest m, holds
+    every m's :func:`precision_at_m`; each m adds them up from 0 in query
+    order (fields by name, members by id), as one ranking per m would."""
     configs = list(configs)
     m_values = [int(m) for m in m_values]
     labels = [cfg.label() for cfg in configs]
@@ -140,19 +129,20 @@ def run_benchmark(
             if not 0 <= p < g.n:
                 raise DataError(f"field {name!r} references unknown paper id {p}")
 
-    queries = [
-        (name, q)
-        for name in sorted(corpus.fields)
-        for q in sorted(corpus.fields[name])
-    ]
-    rows = {}
-    for cfg in configs:
+    queries = [(name, q) for name in sorted(corpus.fields)
+               for q in sorted(corpus.fields[name])]
+    if not m_values:  # nothing to rank
+        return PrecisionTable(rows={}, query_count=len(queries))
+    rows, deepest = {}, max(m_values)
+    for label, cfg in zip(labels, configs):
         mat, _ = compute(g, cfg, threads)
-        for m in m_values:
-            total = 0.0
-            for name, q in queries:
-                total += precision_at_m(mat, q, corpus.fields[name], m)
-            rows[(cfg.label(), m)] = total / len(queries)
+        totals = dict.fromkeys(m_values, 0.0)
+        for name, q in queries:
+            hits = [entry.paper in corpus.fields[name]
+                    for entry in top_k(mat, q, deepest, zero_fill=False)]
+            for m in totals:
+                totals[m] += sum(hits[:m]) / m
+        rows.update(((label, m), total / len(queries)) for m, total in totals.items())
     return PrecisionTable(rows=rows, query_count=len(queries))
 
 

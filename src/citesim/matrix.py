@@ -333,7 +333,8 @@ def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:
     """(missing, unexpected, mismatched): the pairs, as ascending (k, 2)
     arrays, where :func:`read_matrix_csv` rows and the float64 scores
     ``write_matrix_csv(m, ...)`` exports disagree.  Raises DataError naming
-    ``source`` at the first row outside 0 <= p <= q < n or repeating a pair.
+    ``source`` at the first row outside 0 <= p <= q < n or repeating a pair
+    (that row's index is its ``row``).
     """
     p, q = rows["p"], rows["q"]
     outside = np.flatnonzero((p < 0) | (q < p) | (q >= m.n))
@@ -342,11 +343,12 @@ def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:
     # stable sort: of equal cells, every one after the first is a repeat
     order = np.argsort(idx, kind="stable")
     repeats = order[1:][idx[order[1:]] == idx[order[:-1]]]
-    if repeats.size:
-        i = repeats.min()
-        raise DataError(f"{source}: duplicate pair ({p[i]}, {q[i]})")
-    if end < len(rows):
-        raise DataError(f"{source}: pair ({p[end]}, {q[end]}) out of range for n={m.n}")
+    i = repeats.min() if repeats.size else end  # the first bad row in file order
+    if i < len(rows):
+        error = DataError(f"{source}: duplicate pair ({p[i]}, {q[i]})" if repeats.size else
+                          f"{source}: pair ({p[i]}, {q[i]}) out of range for n={m.n}")
+        error.row = int(i)
+        raise error
     found = np.zeros_like(m._na)
     found[idx] = True
     scores = np.zeros_like(m._scores)

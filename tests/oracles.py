@@ -13,15 +13,20 @@ Two kinds, neither sharing code with the engine's matrix algebra:
 The score store has element-by-element references too: the CSV one line
 per pair, the CSV check through dicts and sets of pairs, and rankings from
 a sorted list.  The graph loader has one as well: per-edge Python sets, as
-the graph was once stored.
+the graph was once stored.  So does the corpus loader: the two-pass one,
+which buffers every field's ids before it resolves any.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from citesim.errors import DataError
+from citesim.evaluate import CorpusReport, EvalCorpus
+from citesim.graph import CitationGraph, read_tab_lines
 from citesim.matrix import SCORE_FORMAT
 
 _ROW_FORMAT = f"%d,%d,{SCORE_FORMAT}\n"
@@ -427,3 +432,55 @@ def reference_from_edges_error(n, edges):
             return f"duplicate edge ({u}, {v})"
         seen.add((u, v))
     return None
+
+
+# -- corpus loader reference ---------------------------------------------------
+
+
+def reference_load_corpus(path, g: CitationGraph) -> tuple[EvalCorpus, CorpusReport]:
+    """Read `[field-name]` sections of external paper ids, one per line,
+    under the edge list's line rules (:func:`read_tab_lines`), each stripped.
+
+    Ids missing from the graph are excluded and listed in the report, never
+    silently kept.  Fields left with fewer than 2 resolved papers cannot
+    supply a query/target split and are dropped (also reported).  Raises if
+    nothing usable remains.
+    """
+    raw: dict[str, list[str]] = {}
+    current: Optional[str] = None
+    for lineno, line, _ in read_tab_lines(path):
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if not name:
+                raise DataError(f"{path}:{lineno}: empty field name")
+            if name in raw:
+                raise DataError(f"{path}:{lineno}: duplicate field {name!r}")
+            raw[name] = []
+            current = name
+        elif current is None:
+            raise DataError(f"{path}:{lineno}: paper id before any [field] header")
+        else:
+            raw[current].append(line)
+
+    unresolved: dict[str, tuple] = {}
+    dropped = []
+    fields = {}
+    for name, ids in raw.items():
+        resolved = set()
+        missing = []
+        for ext in ids:
+            try:
+                resolved.add(g.id_of(ext))
+            except DataError:
+                missing.append(ext)
+        if missing:
+            unresolved[name] = tuple(missing)
+        if len(resolved) < 2:
+            dropped.append(name)
+        else:
+            fields[name] = frozenset(resolved)
+    if not fields:
+        raise DataError(f"{path}: no field resolves at least 2 papers in the graph")
+    corpus = EvalCorpus(name=Path(str(path)).stem, fields=fields)
+    return corpus, CorpusReport(unresolved=unresolved, dropped_fields=tuple(dropped))

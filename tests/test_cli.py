@@ -113,19 +113,23 @@ def test_verify_rejects_bad_pairs_at_the_first_in_file_order(shared_files, tmp_p
     out = tmp_path / "scores.csv"
     assert main(_compute_argv(edge, meta, str(out))) == 0
     rows = out.read_text().splitlines()[1:]
+    # the added rows start on line 8, after the header and six rows
     cases = [
-        (["3,10,0.5"], "pair (3, 10) out of range for n=10"),
-        (["-1,2,0.5"], "pair (-1, 2) out of range for n=10"),
-        (["5,2,0.5"], "pair (5, 2) out of range for n=10"),
-        ([rows[4]], "duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
-        ([rows[4], "5,2,0.5"], "duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
-        (["5,2,0.5", rows[4]], "pair (5, 2) out of range for n=10"),
-        (["99999999999999999999,1,0.5"], f"{out}:8: id out of range"),
+        (["3,10,0.5"], "8: pair (3, 10) out of range for n=10"),
+        (["-1,2,0.5"], "8: pair (-1, 2) out of range for n=10"),
+        (["5,2,0.5"], "8: pair (5, 2) out of range for n=10"),
+        ([rows[4]], "8: duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
+        ([rows[4], "5,2,0.5"], "8: duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
+        (["5,2,0.5", rows[4]], "8: pair (5, 2) out of range for n=10"),
+        # blank lines count; the repeat is the later row, here rows[10]'s own
+        (["", "", rows[4]], "10: duplicate pair ({}, {})".format(*rows[4].split(",")[:2])),
+        ([rows[10]], "13: duplicate pair ({}, {})".format(*rows[10].split(",")[:2])),
+        (["99999999999999999999,1,0.5"], "8: id out of range"),
     ]
     for added, message in cases:
         assert _validate_rows(edge, meta, out, rows[:6] + added + rows[6:]) == 2, added
         err = capsys.readouterr().err
-        assert message in err and "DataError" not in err, (added, err)
+        assert err == f"citesim: error: {out}:{message}\n", (added, err)
 
 
 def test_verify_lists_missing_then_unexpected_then_mismatched(shared_files, tmp_path, capsys):
@@ -218,6 +222,11 @@ def test_usage_problems_exit_1(shared_files, tmp_path, capsys):
         ["topk", "--graph", edge, "--measure", "crank", "--query", "a",
          "--out", out, "--count", "0"],
         ["eval", "--graph", edge, "--corpus", "c.txt", "--out", out, "--m", "x"],
+        # numbers are plain ASCII: no digit separator, no non-ASCII digit
+        ["compute", "--graph", edge, "--measure", "crank", "--out", out, "--kmax", "1_0"],
+        ["compute", "--graph", edge, "--measure", "crank", "--out", out, "--threads", "\uff12"],
+        ["compute", "--graph", edge, "--measure", "crank", "--out", out, "--C", "0.8_0"],
+        ["eval", "--graph", edge, "--corpus", "c.txt", "--out", out, "--m", "1_0,\uff12\uff10"],
         ["validate", "--graph", edge, "--measure", "crank"],  # no --out to verify
         ["frobnicate", "--graph", edge],
     ]

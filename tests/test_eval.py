@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citesim import fixtures
+from citesim import evaluate, fixtures
 from citesim.cli import _write_topk
 from citesim.engine import (
     MEASURES,
@@ -11,6 +11,7 @@ from citesim.engine import (
     TopKEntry,
     compute,
     crank_jaccard,
+    top_k,
     write_iteration_csv,
 )
 from citesim.errors import ConfigError, DataError
@@ -110,6 +111,44 @@ def test_load_corpus_shares_the_edge_list_line_rules(tmp_path, shared_graph):
     assert str(exc.value) == f"{bad}:4: paper id before any [field] header"
 
 
+# corpus files: blank lines and comments anywhere, maybe ids before the first
+# header, then sections under names that may be blank or repeat, each with
+# known, unknown and padded ids, often too few to keep the field
+_NOISE = st.sampled_from(["", " \t ", "# note", "  # [alpha]"])
+_IDS = st.sampled_from(list("abcdefghij") + [" a ", "b\t", "zz", "qq", "x y"])
+_NAMES = st.sampled_from(["alpha", " beta ", "gamma", "delta", "eps", "zeta", "eta", "b", " "])
+
+
+@st.composite
+def _corpus_lines(draw):
+    lines = draw(st.lists(_NOISE, max_size=2)) + draw(st.sampled_from([[]] * 4 + [[" zz "]]))
+    names = draw(st.one_of(st.lists(_NAMES, max_size=5, unique=True),
+                           st.lists(_NAMES.filter(str.strip), max_size=5, unique=True),
+                           st.lists(_NAMES, max_size=5)))
+    for name in names:
+        lines.append(f"[{name}]")
+        lines += draw(st.lists(st.one_of(_IDS, _IDS, _IDS, _NOISE), max_size=6))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_corpus_lines(), crlf=st.booleans())
+def test_load_corpus_matches_the_two_pass_reference(tmp_path_factory, shared_graph, lines, crlf):
+    path = tmp_path_factory.mktemp("corpus") / "refs.txt"
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines + [""]).encode())
+
+    def load(loader):
+        try:
+            corpus, report = loader(path, shared_graph)
+        except DataError as exc:
+            return str(exc)
+        # dataclass equality ignores dict order; the item lists keep it
+        return (corpus, list(corpus.fields.items()),
+                report, list(report.unresolved.items()))
+
+    assert load(load_corpus) == load(oracles.reference_load_corpus)
+
+
 # -- precision ---------------------------------------------------------------
 
 
@@ -184,6 +223,54 @@ def test_benchmark_argument_validation(shared_graph):
     lone = EvalCorpus(name="t", fields={"f": frozenset({0})})
     with pytest.raises(DataError, match="field 'f' has fewer than 2 papers"):
         run_benchmark(shared_graph, lone, [MeasureConfig("crank")], [10])
+
+
+def _queries(fields):
+    return [(name, q) for name in sorted(fields) for q in sorted(fields[name])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_benchmark_matches_one_ranking_per_query_and_m(data):
+    communities, size = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 6))
+    g, _ = fixtures.clustered_citation_graph(communities, size, 0.4, 0.05,
+                                             data.draw(st.integers(0, 2**16)))
+    # fields may overlap and be smaller than m; m may repeat and exceed n
+    members = st.frozensets(st.integers(0, g.n - 1), min_size=2, max_size=g.n)
+    fields = data.draw(st.dictionaries(st.text("fgh", min_size=1, max_size=2), members,
+                                       min_size=1, max_size=4))
+    m_values = data.draw(st.lists(st.integers(1, g.n + 3), max_size=4))
+    measures = data.draw(st.lists(st.sampled_from(MEASURES), min_size=1, max_size=3, unique=True))
+    configs = [MeasureConfig(name) for name in measures]
+    table = run_benchmark(g, EvalCorpus("drawn", fields), configs, m_values)
+
+    queries = _queries(fields)
+    want = {}
+    for cfg in configs:
+        mat, _ = compute(g, cfg)
+        for m in m_values:
+            total = 0.0
+            for name, q in queries:
+                total += precision_at_m(mat, q, fields[name], m)
+            want[(cfg.label(), m)] = total / len(queries)
+    assert table.query_count == len(queries)
+    assert list(table.rows) == list(want)
+    assert [v.hex() for v in table.rows.values()] == [v.hex() for v in want.values()]
+
+
+def test_benchmark_ranks_each_query_once_per_measure(monkeypatch):
+    g, fields = fixtures.clustered_citation_graph(3, 8, 0.4, 0.05, 1)
+    calls = []
+
+    def counting_top_k(mat, query, count, zero_fill=True):
+        calls.append((query, count, zero_fill))
+        return top_k(mat, query, count, zero_fill)
+
+    monkeypatch.setattr(evaluate, "top_k", counting_top_k)
+    configs = _default_configs()
+    run_benchmark(g, EvalCorpus("c", fields), configs, [5, 10, 3, 10])
+    queries = [q for _, q in _queries(fields)]
+    assert calls == [(q, 10, False) for q in queries] * len(configs)
 
 
 # -- histograms --------------------------------------------------------------
