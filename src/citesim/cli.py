@@ -263,7 +263,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
         evaluate.write_cases_csv(table, g, spec.out)
         summary.update({"pairs_file": spec.pairs, "pairs": len(pairs)})
     elif spec.command == "trace":
-        points = evaluate.convergence_trace(g, cfg, spec.k_max, spec.threads)
+        points = evaluate.convergence_trace(g, cfg, spec.threads)
         evaluate.write_trace_csv(points, spec.out)
         summary["pairs_used"] = points[-1].pairs_used if points else 0
     else:  # compute, topk, histogram, validate --measure: one matrix

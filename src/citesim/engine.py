@@ -52,6 +52,12 @@ last pass of either recursion ends each row block with :func:`_close_rows`
 ``initial`` start is closed on its transpose, and gives the block's largest
 change from the previous iterate, so a run's delta costs no pass of its own.
 
+Every measure forms its scores in place, with one guarded inverse: 1/x
+where x > 0, and 0.0 where x is 0, is the in-place division of
+:func:`_invert`.  The one-shot measures turn each view's count square into
+its weighted term and add the running sum into it, so none of them holds
+more squares than a recursion does.
+
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
 With ``threads > 1`` the calling thread and ``threads - 1`` workers take
@@ -149,7 +155,7 @@ class MeasureConfig:
             ("C", float, lambda v: 0.0 <= v <= 1.0, "C must be in [0,1]"),
             ("lam", float, lambda v: 0.0 <= v <= 1.0, "lambda must be in [0,1]"),
             ("k_max", int, lambda v: v >= 1, "k_max must be an integer >= 1"),
-            ("epsilon", float, lambda v: v > 0.0, "epsilon must be > 0"),
+            ("epsilon", float, lambda v: 0.0 < v < np.inf, "epsilon must be finite and > 0"),
         ):
             # stored converted, and only when conversion keeps the value
             value = getattr(self, name)
@@ -378,8 +384,11 @@ def _close_rows(square: np.ndarray, r0: int, r1: int):
     np.copyto(diag, diag.T, where=_upper()[:r1 - r0, :r1 - r0])
 
 
-def _guarded_inverse(denom: np.ndarray) -> np.ndarray:
-    return np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+def _invert(x: np.ndarray) -> np.ndarray:
+    """1 / x in place where x > 0; x keeps its other entries.  Every
+    argument here is a count, a sum or a product of counts, so those entries
+    are +0.0, the value the inverse takes there."""
+    return np.divide(1.0, x, out=x, where=x > 0.0)
 
 
 def _block_delta(cur: np.ndarray, prev: np.ndarray, buf: np.ndarray) -> float:
@@ -394,16 +403,27 @@ def _block_delta(cur: np.ndarray, prev: np.ndarray, buf: np.ndarray) -> float:
 
 def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityMatrix:
     """Sum over the measure's terms of weight * shared-neighbor score, raw
-    or Jaccard-normalized, with 1 on the diagonal."""
+    or Jaccard-normalized, with 1 on the diagonal.
+
+    Each term is formed in place in its count square: a Jaccard view's
+    union square (d_p + d_q - count) is inverted in place and multiplies
+    the counts, then the weight does, and the sum of the terms before it is
+    added in.  So at most the running sum, one count square and one union
+    square are live.
+    """
     scores = 0.0
     with _block_pool(threads, g.n) as each_block:
         for view, w in _terms(cfg):
             op = g.csr(view)
             shared = _shared_counts(op, _plan((op,)), each_block)
             if cfg.normalization == "jaccard":
-                deg = _degrees(op)
-                shared *= _guarded_inverse(deg[:, None] + deg[None, :] - shared)
-            scores = scores + w * shared
+                union = np.add.outer(_degrees(op), _degrees(op))
+                union -= shared
+                shared *= _invert(union)
+                del union  # dead before the next term's counts are made
+            shared *= w
+            shared += scores
+            scores = shared
     np.fill_diagonal(scores, 1.0)
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
@@ -475,7 +495,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         [(view, _)] = _terms(cfg)
         und = g.csr(view)
         deg = _degrees(und)
-        inv_deg = _guarded_inverse(deg)
+        inv_deg = _invert(_degrees(und))
         plan = _plan((und,))
         # |L(p) & L(q)| <= the largest degree, kept in the smallest unsigned
         # type that holds that: an eighth of a float square while it fits a byte
@@ -501,8 +521,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
             jac = scratch(1, h, r1)
             np.copyto(jac, counts[r0:r1, :r1])
             inv -= jac
-            np.divide(1.0, inv, out=inv, where=inv > 0.0)
-            jac *= inv
+            jac *= _invert(inv)
             out = cur[r0:r1, :r1]
             if sums is None:
                 np.multiply(jac, C, out=out)
@@ -545,7 +564,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         # A's nonzeros, (column, row): where A @ I, written into x.T, is 1
         ones = (op[1], np.repeat(np.arange(n), np.diff(op[0])))
         prepared.append((_plan((op,)), _plan(_lanes(op)), w,
-                         _guarded_inverse(np.outer(degrees, degrees)), codes, ones))
+                         _invert(np.outer(degrees, degrees)), codes, ones))
     x = np.empty((n, n))
 
     def lower_block(r0, r1, steps, scratch, w, table, codes, low, prev, first, last):
@@ -788,13 +807,13 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
 
     N/A pairs compare by their numeric value 0.
     """
-    # epsilon far below any representable delta: runs stop only at k_max,
-    # so both sides of each identity see the same iteration count
+    # the last of k iterates, with no epsilon stop: both sides of each
+    # identity see the same iteration count
     def run(measure, lam, k):
-        cfg = MeasureConfig(measure, "pairwise", C=1.0 if k == 1 else 0.8,
-                            lam=lam, k_max=k, epsilon=1e-300)
-        mat, _ = iterate_pairwise(g, cfg, threads)
-        return mat.dense_scores()
+        cfg = MeasureConfig(measure, "pairwise", C=1.0 if k == 1 else 0.8, lam=lam, k_max=k)
+        for _, square in iteration_scores(g, cfg, threads):
+            pass
+        return square
 
     counts = cocitation(g, MeasureConfig("cocitation"), threads).dense_scores()
     deg = _degrees(g.csr("in"))

@@ -8,7 +8,7 @@ top-score traces, and a score table for hand-tagged hard pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -113,7 +113,9 @@ def run_benchmark(
 
     One :func:`top_k` ranking per (measure, query), to the largest m, holds
     every m's :func:`precision_at_m`; each m adds them up from 0 in query
-    order (fields by name, members by id), as one ranking per m would."""
+    order (fields by name, members by id), as one ranking per m would.  One
+    matrix is alive at a time, so the run peaks where its costliest
+    measure's :func:`compute` does."""
     configs = list(configs)
     m_values = [int(m) for m in m_values]
     labels = [cfg.label() for cfg in configs]
@@ -143,6 +145,7 @@ def run_benchmark(
             for m in totals:
                 totals[m] += sum(hits[:m]) / m
         rows.update(((label, m), total / len(queries)) for m, total in totals.items())
+        del mat
     return PrecisionTable(rows=rows, query_count=len(queries))
 
 
@@ -185,20 +188,17 @@ class TracePoint:
     pairs_used: int
 
 
-def convergence_trace(
-    g: CitationGraph, cfg: MeasureConfig, k_range: int, threads: int = 1
-) -> list:
-    """Mean of the 10 highest off-diagonal scores after each iteration.
+def convergence_trace(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> list:
+    """Mean of the 10 highest off-diagonal scores after each of cfg's k_max
+    iterations, with no epsilon stop; cfg must be iterative.
 
     The top 10 are re-selected at every k.  Graphs with fewer than 10
     scoreable pairs use what they have; ``pairs_used`` records the count.
-    ``k_range`` replaces cfg's k_max and is validated as k_max is.
     """
-    run_cfg = replace(cfg, k_max=k_range)
     # the scored off-diagonal pairs p < q, read in packed order
     keep = np.triu(~na_mask(g, cfg), 1)
     points = []
-    for k, square in iteration_scores(g, run_cfg, threads):
+    for k, square in iteration_scores(g, cfg, threads):
         mean, take = _mean_top(square[keep], 10)
         points.append(TracePoint(k=k, mean_top10=mean, pairs_used=take))
     return points

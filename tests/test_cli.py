@@ -219,6 +219,8 @@ def test_usage_problems_exit_1(shared_files, tmp_path, capsys):
          "--threads", "0"],
         ["compute", "--graph", edge, "--measure", "crank", "--out", out,
          "--kmax", "0"],
+        ["compute", "--graph", edge, "--measure", "crank", "--out", out,
+         "--epsilon", "inf"],  # the summary is JSON, which has no Infinity
         ["topk", "--graph", edge, "--measure", "crank", "--query", "a",
          "--out", out, "--count", "0"],
         ["eval", "--graph", edge, "--corpus", "c.txt", "--out", out, "--m", "x"],
@@ -393,7 +395,7 @@ def test_trace_command_matches_library(shared_files, tmp_path):
     assert lines[0] == "k,mean_top10"
     assert len(lines) == 6
     g, _ = load_graph_files(edge, meta)
-    points = convergence_trace(g, MeasureConfig("crank"), 5)
+    points = convergence_trace(g, MeasureConfig("crank", k_max=5))
     for line, pt in zip(lines[1:], points):
         k, mean = line.split(",")
         assert int(k) == pt.k

@@ -63,8 +63,9 @@ def test_config_rejects_bad_values():
     for k_max in (2.5, "x", "3", None, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             MeasureConfig("crank", k_max=k_max)
-    with pytest.raises(ConfigError):
-        MeasureConfig("crank", epsilon=0.0)
+    for epsilon in (0.0, float("inf")):
+        with pytest.raises(ConfigError):
+            MeasureConfig("crank", epsilon=epsilon)
     for bad in ({"C": "x"}, {"C": None}, {"C": float("nan")}, {"lam": None},
                 {"lam": "0.5"}, {"epsilon": "1e-3"}, {"epsilon": None}):
         with pytest.raises(ConfigError):
@@ -489,21 +490,29 @@ def test_compute_peak_memory_in_squares():
     # at 2 threads each thread holds its own block buffers.  Crank holds
     # the previous and the new iterate, its cross sums and a count square
     # of one byte per pair.  Measured over 20 runs: crank 3.51 / 3.84,
-    # prank 3.40 / 3.72.
+    # prank 3.40 / 3.72.  A one-shot measure holds its running sum, one
+    # view's count square and, for Jaccard, its union square: amsler 3.23 /
+    # 3.45 and the one-view measures 2.23 / 2.45, below both recursions.
     n = 600
+    rnd = fixtures.random_graph(n, 5 / n, 1)
+    clustered = fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0]
     cases = [
-        ("crank", fixtures.random_graph(n, 5 / n, 1), (4.0, 4.09)),
-        ("prank", fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0], (3.65, 3.8)),
+        (MeasureConfig("crank"), rnd, (4.0, 4.09)),
+        (MeasureConfig("prank"), clustered, (3.65, 3.8)),
     ]
-    for measure, g, limits in cases:
+    for measure in ("cocitation", "coupling", "amsler"):
+        for norm in ("raw_count", "jaccard"):
+            limits = (3.35, 3.6) if measure == "amsler" else (2.35, 2.6)
+            cases.append((MeasureConfig(measure, norm), rnd, limits))
+    for cfg, g, limits in cases:
         for threads, limit in zip((1, 2), limits):
             tracemalloc.start()
             try:
-                compute(g, MeasureConfig(measure), threads=threads)
+                compute(g, cfg, threads=threads)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak / (8 * n * n) <= limit, (measure, threads)
+            assert peak / (8 * n * n) <= limit, (cfg.label(), threads)
 
 
 def test_crank_counts_beyond_a_byte_keep_the_bits():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,8 +336,8 @@ def _flatten_k(points, tol=1e-6):
 
 
 def test_trace_is_monotone_and_decay_dependent(shared_graph):
-    slow = convergence_trace(shared_graph, MeasureConfig("crank", C=0.8), 30)
-    fast = convergence_trace(shared_graph, MeasureConfig("crank", C=0.2), 30)
+    slow = convergence_trace(shared_graph, MeasureConfig("crank", C=0.8, k_max=30))
+    fast = convergence_trace(shared_graph, MeasureConfig("crank", C=0.2, k_max=30))
     for pts in (slow, fast):
         assert [pt.k for pt in pts] == list(range(1, 31))
         assert all(b.mean_top10 >= a.mean_top10 for a, b in zip(pts, pts[1:]))
@@ -344,7 +346,7 @@ def test_trace_is_monotone_and_decay_dependent(shared_graph):
 
 def test_trace_matches_brute_force_top10(shared_graph):
     g = shared_graph
-    for pt in convergence_trace(g, MeasureConfig("crank", C=0.8), 4):
+    for pt in convergence_trace(g, MeasureConfig("crank", C=0.8, k_max=4)):
         ref = oracles.undirected_jaccard_scores(g, 0.8, pt.k)
         vals = sorted((s for (p, q), s in ref.items() if p < q), reverse=True)[:10]
         assert pt.pairs_used == 10
@@ -352,7 +354,7 @@ def test_trace_matches_brute_force_top10(shared_graph):
 
 
 def test_trace_small_graph_uses_what_it_has():
-    pts = convergence_trace(fixtures.star_graph(1), MeasureConfig("crank"), 2)
+    pts = convergence_trace(fixtures.star_graph(1), MeasureConfig("crank", k_max=2))
     assert [pt.pairs_used for pt in pts] == [3, 3]
 
 
@@ -379,13 +381,9 @@ def test_mean_top_keeps_the_full_sort_bits(n, seed, kind):
 
 def test_trace_argument_validation(shared_graph):
     with pytest.raises(ConfigError):
-        convergence_trace(shared_graph, MeasureConfig("crank"), 0)
-    for k_range in (2.5, "x", float("inf")):
-        with pytest.raises(ConfigError):
-            convergence_trace(shared_graph, MeasureConfig("crank"), k_range)
-    with pytest.raises(ConfigError):
-        convergence_trace(shared_graph, MeasureConfig("cocitation"), 5)
-    assert [pt.k for pt in convergence_trace(shared_graph, MeasureConfig("crank"), 3.0)] == [1, 2, 3]
+        convergence_trace(shared_graph, MeasureConfig("cocitation"))
+    points = convergence_trace(shared_graph, MeasureConfig("crank", k_max=3))
+    assert [pt.k for pt in points] == [1, 2, 3]
 
 
 # -- hard-pair case tables ---------------------------------------------------
@@ -429,6 +427,30 @@ def test_case_analysis_argument_validation(gap_graph, gap_ids):
         case_analysis(gap_graph, pairs, [MeasureConfig("crank")] * 2)
 
 
+def _peak_squares(n, fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
+def test_all_measure_runs_peak_at_their_costliest_compute():
+    # one matrix alive at a time: eval and cases over every measure peak
+    # within a tenth of a square of the costliest single compute (crank's
+    # 3.50 squares at n=600)
+    g, fields = fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)
+    configs = _default_configs()
+    costliest = max(_peak_squares(g.n, compute, g, cfg) for cfg in configs)
+    corpus = EvalCorpus(name="clustered", fields=fields)
+    pairs = [(0, 1, "P1"), (0, 599, "P3"), (540, 599, "P2")]
+    for fn, args in ((run_benchmark, (corpus, configs, [10, 20, 30, 40, 50])),
+                     (case_analysis, (pairs, configs))):
+        assert _peak_squares(g.n, fn, g, *args) <= costliest + 0.1, (fn.__name__, costliest)
+
+
 # -- CSV exports -------------------------------------------------------------
 
 
@@ -456,7 +478,7 @@ def test_histogram_csv(tmp_path):
 
 
 def test_trace_csv(tmp_path, shared_graph):
-    pts = convergence_trace(shared_graph, MeasureConfig("crank"), 3)
+    pts = convergence_trace(shared_graph, MeasureConfig("crank", k_max=3))
     path = tmp_path / "trace.csv"
     write_trace_csv(pts, path)
     lines = path.read_text().splitlines()
