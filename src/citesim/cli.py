@@ -25,7 +25,8 @@ once, no other pair, and each score equal as a parsed float64 (so `5e-1`
 passes where `0.5` was written).
 
 Exit status: 0 success, 1 usage or parameter problem, 2 unreadable or
-inconsistent data.
+inconsistent data, 130 interrupted (:func:`entry` prints one stderr line,
+no traceback).
 
 :func:`entry` (the ``citesim`` script and ``python -m citesim``) freezes
 the garbage collector's heap before it runs the command.  The imports
@@ -334,7 +335,11 @@ def main(argv=None) -> int:
 
 def entry():
     gc.freeze()
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        print("citesim: interrupted", file=sys.stderr)
+        sys.exit(130)
 
 
 if __name__ == "__main__":

@@ -44,19 +44,16 @@ summed it.  The Jaccard recursion's union counts are exact, so its second
 cross weight is the first one's transpose bit for bit, and its update is
 exactly symmetric as summed.  It holds no weight square: it keeps the
 shared-neighbor counts, in the smallest unsigned type that holds the
-largest degree (one byte per pair below 256), and once both products of a
-step are summed, one pass rebuilds each row block's weights from the
-counts and the degrees, with the operations of a whole-square setup.  The
-last pass of either recursion ends each row block with :func:`_close_rows`
-(1.0 on its diagonal, its lower triangle copied onto the upper one), as an
-``initial`` start is closed on its transpose, and gives the block's largest
-change from the previous iterate, so a run's delta costs no pass of its own.
+largest degree, and rebuilds each row block's weights from them in the
+pass that ends a step.  The last pass of either recursion ends each row
+block with :func:`_close_rows` (1.0 on its diagonal, its lower triangle
+copied onto the upper one), as an ``initial`` start is closed on its
+transpose, and gives the block's largest change from the previous iterate.
 
-Every measure forms its scores in place, with one guarded inverse: 1/x
-where x > 0, and 0.0 where x is 0, is the in-place division of
-:func:`_invert`.  The one-shot measures turn each view's count square into
-its weighted term and add the running sum into it, so none of them holds
-more squares than a recursion does.
+Every measure forms its scores row block by row block, with one guarded
+inverse, :func:`_invert`, and one Jaccard rule, :func:`_jaccard`.  A
+one-shot measure adds its terms into one square by :func:`_shared_counts`
+passes, then closes its row blocks as a recursion does.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -350,18 +347,27 @@ def _lanes(op) -> tuple:
     return tuple(lanes)
 
 
-def _shared_counts(op, plan, each_block, dtype=float) -> np.ndarray:
-    """|row p & row q| for every pair of op's rows, as ``dtype``; ``plan``
-    is ``_plan((op,))``, which the caller builds once per run.
+def _shared_counts(op, each_block, out: np.ndarray, w=1.0, jaccard=False, plan=None):
+    """Add w * |row p & row q| of op, raw or by :func:`_jaccard`, into rows
+    r0:r1, columns :r1 of ``out`` for each block of ``plan`` (by default
+    ``_plan((op,))``): the lower triangle and the diagonal.
 
-    The sums are small integers, so they are exact in any order, and so is
-    their cast to any type that holds the largest degree.
+    The counts sum rows of a one-byte 0/1 transpose: small integers, exact
+    in any order and in any ``out`` type that holds the largest degree.
     """
     indptr, indices = op
-    n = indptr.shape[0] - 1
-    at = np.zeros((n, n))  # transpose of op's 0/1 matrix A, so this is A @ A.T
-    at[indices, np.repeat(np.arange(n), np.diff(indptr))] = 1.0
-    return _spmm(plan, at, np.empty((n, n), dtype), each_block)
+    at = np.zeros(out.shape, np.uint8)  # transpose of op's 0/1 matrix A: this is A @ A.T
+    at[indices, np.repeat(np.arange(len(at)), np.diff(indptr))] = 1
+    deg = _degrees(op)
+
+    def block(r0, r1, steps, scratch):
+        counts = _block_sums(steps, at[:, :r1], scratch(0, r1 - r0, r1), scratch(1, r1 - r0, r1))
+        if jaccard:  # the sums are done, so their accumulator takes the inverse
+            _jaccard(counts, deg, r0, r1, scratch(1, r1 - r0, r1), counts)
+        counts *= w
+        np.add(out[r0:r1, :r1], counts, out[r0:r1, :r1], casting="unsafe")
+
+    each_block(block, plan or _plan((op,)))
 
 
 def _degrees(op) -> np.ndarray:
@@ -391,6 +397,14 @@ def _invert(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x, where=x > 0.0)
 
 
+def _jaccard(counts, deg, r0, r1, inv, out):
+    """count / |union| over rows r0:r1, columns :r1, into ``out``, which may
+    be ``counts``; ``inv`` gets the :func:`_invert` of (d_p + d_q) - count."""
+    np.add(deg[r0:r1, None], deg[:r1], out=inv)
+    inv -= counts
+    return np.multiply(counts, _invert(inv), out=out)
+
+
 def _block_delta(cur: np.ndarray, prev: np.ndarray, buf: np.ndarray) -> float:
     """max |cur - prev| over one block, in ``buf`` of the block's shape; a
     NaN propagates."""
@@ -405,26 +419,16 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
     """Sum over the measure's terms of weight * shared-neighbor score, raw
     or Jaccard-normalized, with 1 on the diagonal.
 
-    Each term is formed in place in its count square: a Jaccard view's
-    union square (d_p + d_q - count) is inverted in place and multiplies
-    the counts, then the weight does, and the sum of the terms before it is
-    added in.  So at most the running sum, one count square and one union
-    square are live.
+    Each term is added into one zero square by a :func:`_shared_counts`
+    pass: only the square, one view's one-byte transpose and the block
+    buffers are live.
     """
-    scores = 0.0
+    scores = np.zeros((g.n, g.n))
     with _block_pool(threads, g.n) as each_block:
         for view, w in _terms(cfg):
-            op = g.csr(view)
-            shared = _shared_counts(op, _plan((op,)), each_block)
-            if cfg.normalization == "jaccard":
-                union = np.add.outer(_degrees(op), _degrees(op))
-                union -= shared
-                shared *= _invert(union)
-                del union  # dead before the next term's counts are made
-            shared *= w
-            shared += scores
-            scores = shared
-    np.fill_diagonal(scores, 1.0)
+            _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
+    for r0 in range(0, g.n, _BLOCK_ROWS):
+        _close_rows(scores, r0, min(r0 + _BLOCK_ROWS, g.n))
     return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
 
 
@@ -497,31 +501,25 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         deg = _degrees(und)
         inv_deg = _invert(_degrees(und))
         plan = _plan((und,))
-        # |L(p) & L(q)| <= the largest degree, kept in the smallest unsigned
-        # type that holds that: an eighth of a float square while it fits a byte
-        count_type = np.min_scalar_type(int(np.diff(und[0]).max(initial=0)))
-        counts = _shared_counts(und, plan, each_block, count_type)
+        # |L(p) & L(q)| <= the largest degree, in the smallest unsigned type
+        # that holds it; finish reads only the block parts the pass fills
+        counts = np.zeros((n, n), np.min_scalar_type(int(deg.max(initial=0))))
+        _shared_counts(und, each_block, counts, plan=plan)
         nonzeros = (np.repeat(np.arange(n), np.diff(und[0])), und[1])
         s1 = np.empty((n, n))
 
         def finish(r0, r1, steps, scratch, prev, sums, cur):
             # rows r0:r1 of C * (jac + (w1 * S1 + (w1 * S1).T)) over their
-            # first r1 columns, rounded in that order, from weights rebuilt
-            # by the operations of a whole-square setup:
-            #   inv = 1 / ((d_p + d_q) - |L(p) & L(q)|), 0 where both are 0
-            #   jac = count * inv,  w1 = inv * 1/d_q,  w1.T = inv * 1/d_p
-            # The counts are symmetric, so inv is too, and each element is
-            # the same sum as its mirror image: the rows are copied onto the
-            # upper triangle.  ``sums`` is S1, or None where S1 is zero (the
-            # first step from the identity), which leaves C * jac.  G, in
-            # cur's buffer, is dead once S1 is summed, so the rows are
-            # formed in place.
-            h = r1 - r0
-            inv = np.add(deg[r0:r1, None], deg[:r1], out=scratch(0, h, r1))
-            jac = scratch(1, h, r1)
-            np.copyto(jac, counts[r0:r1, :r1])
-            inv -= jac
-            jac *= _invert(inv)
+            # first r1 columns, rounded in that order, with jac and inv from
+            # _jaccard, w1 = inv * 1/d_q and w1.T = inv * 1/d_p: the
+            # operations of a whole-square setup.  The counts are
+            # symmetric, so inv is too, and each element is the same sum as
+            # its mirror image: the rows are copied onto the upper triangle.
+            # ``sums`` is S1, or None where S1 is zero (the first step from
+            # the identity), which leaves C * jac.  G, in cur's buffer, is
+            # dead once S1 is summed, so the rows are formed in place.
+            inv = scratch(0, r1 - r0, r1)
+            jac = _jaccard(counts[r0:r1, :r1], deg, r0, r1, inv, scratch(1, r1 - r0, r1))
             out = cur[r0:r1, :r1]
             if sums is None:
                 np.multiply(jac, C, out=out)

@@ -12,7 +12,7 @@ A graph stores each view once, as read-only CSR rows ``(indptr, indices)``
 with every row in ascending order, built with numpy from the edges' ids:
 about 32 bytes per edge for the three views.  No edge is ever held as a
 Python object.  The set accessors (``neighbors``, ``neighbor_sets``,
-``in_index``/``out_index``/``und_index``, ``edges``, ``has_edge``) are
+``in_index``/``out_index``, ``edges``, ``has_edge``) are
 computed from the rows on each call, in time proportional to the degrees
 they read, and nothing caches them; the engine reads only :meth:`csr`.
 """
@@ -204,10 +204,6 @@ class CitationGraph:
     @property
     def out_index(self) -> tuple:
         return self.neighbor_sets("out")
-
-    @property
-    def und_index(self) -> tuple:
-        return self.neighbor_sets("undirected")
 
     @property
     def edges(self) -> frozenset:

@@ -676,6 +676,18 @@ def test_module_entry_point(shared_files, blocks_files, tmp_path, capsys):
                     == parent.with_name(parent.name + suffix).read_bytes())
 
 
+def test_interrupted_entry_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # keep this process's collector
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 130
+    assert capsys.readouterr() == ("", "citesim: interrupted\n")
+
+
 def test_one_thread_runs_never_import_the_thread_pool(blocks_files, tmp_path):
     edge, meta = blocks_files
     code = ("import sys, citesim.cli; code = citesim.cli.main(sys.argv[1:]); "

@@ -490,9 +490,9 @@ def test_compute_peak_memory_in_squares():
     # at 2 threads each thread holds its own block buffers.  Crank holds
     # the previous and the new iterate, its cross sums and a count square
     # of one byte per pair.  Measured over 20 runs: crank 3.51 / 3.84,
-    # prank 3.40 / 3.72.  A one-shot measure holds its running sum, one
-    # view's count square and, for Jaccard, its union square: amsler 3.23 /
-    # 3.45 and the one-view measures 2.23 / 2.45, below both recursions.
+    # prank 3.40 / 3.72.  A one-shot measure adds each view's terms into
+    # one square, block by block, from a one-byte transpose; it peaks when
+    # that square is packed: 1.79 / 1.79 for every one-shot config.
     n = 600
     rnd = fixtures.random_graph(n, 5 / n, 1)
     clustered = fixtures.clustered_citation_graph(10, 60, 0.13, 0.004, 1)[0]
@@ -502,8 +502,7 @@ def test_compute_peak_memory_in_squares():
     ]
     for measure in ("cocitation", "coupling", "amsler"):
         for norm in ("raw_count", "jaccard"):
-            limits = (3.35, 3.6) if measure == "amsler" else (2.35, 2.6)
-            cases.append((MeasureConfig(measure, norm), rnd, limits))
+            cases.append((MeasureConfig(measure, norm), rnd, (2.0, 2.0)))
     for cfg, g, limits in cases:
         for threads, limit in zip((1, 2), limits):
             tracemalloc.start()
@@ -516,7 +515,8 @@ def test_compute_peak_memory_in_squares():
 
 
 def test_crank_counts_beyond_a_byte_keep_the_bits():
-    # two hubs share 260 neighbors, so the shared counts need two bytes
+    # two hubs share 260 neighbors, so the shared counts need two bytes:
+    # crank's count square holds them, and so do the one-shot configs' sums
     n = 300
     rng = np.random.default_rng(7)
     edges = {(0, v) for v in range(2, n)} | {(1, v) for v in range(2, 262)}
@@ -538,3 +538,13 @@ def test_crank_counts_beyond_a_byte_keep_the_bits():
             assert len(got) == len(iterates)
             for k, (square, want) in enumerate(zip(got, iterates), start=1):
                 assert np.array_equal(square, want), (initial is None, threads, k)
+    for norm in ("raw_count", "jaccard"):
+        refs = {
+            "cocitation": oracles.einsum_shared_scores(g, "in", norm),
+            "coupling": oracles.einsum_shared_scores(g, "out", norm),
+            "amsler": oracles.einsum_amsler_scores(g, 0.3, norm),
+        }
+        for measure, want in refs.items():
+            for threads in (1, 2):
+                matrix, _ = compute(g, MeasureConfig(measure, norm, lam=0.3), threads)
+                assert np.array_equal(matrix.dense_scores(), want), (measure, norm, threads)

@@ -124,7 +124,7 @@ def test_loader_matches_a_set_reference(edges, meta_ids):
             assert g.neighbors(p, view) == sets[p]
     assert g.in_index == tuple(map(frozenset, views["in"]))
     assert g.out_index == tuple(map(frozenset, views["out"]))
-    assert g.und_index == tuple(map(frozenset, views["undirected"]))
+    assert g.neighbor_sets("undirected") == tuple(map(frozenset, views["undirected"]))
     for u in range(-1, n + 1):
         for v in range(-1, n + 1):
             assert g.has_edge(u, v) == ((u, v) in edge_set)
