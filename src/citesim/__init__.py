@@ -1,4 +1,21 @@
-"""Link-based similarity measures and retrieval evaluation for citation graphs."""
+"""Link-based similarity measures and retrieval evaluation for citation graphs.
+
+Imported before numpy, citesim sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already sets it: no citesim product calls BLAS.  Child
+processes inherit the setting.  Tested with numpy's OpenBLAS (pthreads)
+wheels only, not with OpenMP or MKL builds.
+"""
+
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread when numpy loads it, and the
+# worker busy-waits for about 0.1 s on a core that --threads would use.
+# Every citesim product is a gather-add in a fixed order, for its bits, so
+# the worker never gets work.  OpenBLAS reads the variable only at load: a
+# process that imported numpy first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigError, DataError
 from .graph import (

@@ -88,6 +88,12 @@ def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def csr_rows(op) -> np.ndarray:
+    """The row of each entry of CSR rows ``op = (indptr, indices)``, in
+    storage order: with ``op[1]``, the coordinates of every nonzero."""
+    return np.repeat(np.arange(op[0].shape[0] - 1), np.diff(op[0]))
+
+
 class CitationGraph:
     """Immutable directed citation graph with its three CSR neighbor views.
 
@@ -208,9 +214,8 @@ class CitationGraph:
     @property
     def edges(self) -> frozenset:
         """Every edge as a (citing, cited) pair."""
-        indptr, indices = self._views["out"]
-        citing = np.repeat(np.arange(self.n), np.diff(indptr))
-        return frozenset(zip(citing.tolist(), indices.tolist()))
+        out = self._views["out"]
+        return frozenset(zip(csr_rows(out).tolist(), out[1].tolist()))
 
     def stats(self) -> GraphStats:
         if self.n == 0:

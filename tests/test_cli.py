@@ -700,6 +700,25 @@ def test_one_thread_runs_never_import_the_thread_pool(blocks_files, tmp_path):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_worker_and_keeps_a_set_value():
+    # each child sets OPENBLAS_NUM_THREADS as it likes before anything loads
+    # numpy: this process's own import may have set it for its children
+    report = ("import citesim; print(len(os.listdir('/proc/self/task')), "
+              "os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+    def run(setup):
+        proc = run_python("-c", f"import os; {setup}; {report}")
+        assert proc.returncode == 0
+        return proc.stdout.split()
+
+    unset = "os.environ.pop('OPENBLAS_NUM_THREADS', None)"
+    assert run(unset) == ["1", "1"]
+    assert run("os.environ['OPENBLAS_NUM_THREADS'] = '2'")[1] == "2"
+    # OpenBLAS read the variable when numpy loaded, so citesim sets nothing
+    assert run(unset + "; import numpy")[1] == "None"
+
+
 def test_compute_reads_no_neighbor_set(blocks_files, tmp_path, monkeypatch):
     # the CLI and the engine read the graph's CSR arrays alone: with every
     # set-valued accessor refusing, compute writes the same bytes

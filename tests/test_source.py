@@ -6,6 +6,11 @@ used in its module, or re-exported through ``__all__``, so a deletion
 leaves no dead import behind.  No module calls numpy at import, apart from
 ``np.dtype``: numpy work at import grows every process's RSS, so tables and
 masks are built at first use.
+
+No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
+``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
+Every product is a gather-add in a fixed order, which keeps its bits, and
+``citesim`` limits OpenBLAS to one thread on that premise.
 """
 import ast
 import os
@@ -89,3 +94,20 @@ def test_no_numpy_call_at_import(name):
              if isinstance(node, ast.Call) and _root_name(node.func) in numpy
              and ast.unparse(node.func) not in allowed]
     assert not calls, (name, calls)
+
+
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_product_calls_blas(name):
+    tree = _tree(name)
+    found = [(node.lineno, "@") for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES]
+    for node in _imports(tree):
+        dotted = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        found += [(node.lineno, part) for path in dotted for part in path.split(".")
+                  if part in BLAS_NAMES]
+    assert not found, (name, found)
