@@ -18,6 +18,9 @@ config their flags give (the numeric defaults are `MeasureConfig`'s);
 `trace` runs the iterations itself.  A command that writes a CSV writes the
 summary beside it as `<out>.summary.json`, with the config and any
 iteration report, so a run can be reproduced from its outputs alone.
+Both are written to temporary files beside them and renamed into place,
+the CSV first, once both are complete: a run that fails leaves no output,
+or the previous run's, never a part of one.
 `validate` prints the summary instead.  Without a measure it checks and
 summarizes the graph; with a measure plus --out it checks the named CSV
 against the computed matrix pair by pair: every exported pair present
@@ -48,7 +51,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from itertools import islice
 from typing import Optional
@@ -219,6 +224,22 @@ def _write_topk(g, entries, path):
          g.meta[e.paper].title] for rank, e in enumerate(entries, start=1)))
 
 
+@contextmanager
+def _replacing(*paths):
+    """Yield a temporary path beside each of ``paths``; when the block ends,
+    rename each over its path in order, or, on an exception, remove them."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+
+
 def _dispatch(spec: argparse.Namespace) -> int:
     if spec.command == "histogram" and not _config(spec).bounded:
         # refused before the graph is read, not after the matrix is computed
@@ -235,7 +256,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
         text = json.dumps(summary, indent=2, sort_keys=True)
         print(text)
         if spec.out:
-            with open(spec.out, "w", encoding="utf-8") as fh:
+            with _replacing(spec.out) as [out], open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         return 0
 
@@ -245,51 +266,51 @@ def _dispatch(spec: argparse.Namespace) -> int:
     else:
         cfg = _config(spec)
         summary["config"] = _config_payload(cfg)
+    if spec.command == "validate":
+        return _verify_matrix(compute(g, cfg, spec.threads)[0], spec.out, summary)
 
-    if spec.command == "eval":
-        corpus, corpus_report = evaluate.load_corpus(spec.corpus, g)
-        table = evaluate.run_benchmark(g, corpus, configs, spec.m_values, spec.threads)
-        evaluate.write_precision_csv(table, spec.out)
-        summary.update({
-            "corpus_file": spec.corpus,
-            "fields": {k: len(v) for k, v in sorted(corpus.fields.items())},
-            "unresolved_ids": {k: list(v) for k, v in sorted(corpus_report.unresolved.items())},
-            "dropped_fields": list(corpus_report.dropped_fields),
-            "m_values": list(spec.m_values),
-            "query_count": table.query_count,
-        })
-    elif spec.command == "cases":
-        pairs = _read_pairs(spec.pairs, g)
-        table = evaluate.case_analysis(g, pairs, configs, spec.threads)
-        evaluate.write_cases_csv(table, g, spec.out)
-        summary.update({"pairs_file": spec.pairs, "pairs": len(pairs)})
-    elif spec.command == "trace":
-        points = evaluate.convergence_trace(g, cfg, spec.threads)
-        evaluate.write_trace_csv(points, spec.out)
-        summary["pairs_used"] = points[-1].pairs_used if points else 0
-    else:  # compute, topk, histogram, validate --measure: one matrix
-        # an unknown query fails before the matrix is computed
-        qid = g.id_of(spec.query) if spec.command == "topk" else None
-        mat, report = compute(g, cfg, spec.threads)
-        if spec.command == "validate":
-            return _verify_matrix(mat, spec.out, summary)
-        summary["iteration"] = None if report is None else asdict(report)
-        if spec.command == "compute":
-            write_matrix_csv(mat, spec.out)
-            summary.update({"k": mat.k, "na_pairs": mat.na_count()})
-        elif spec.command == "topk":
-            entries = top_k(mat, qid, spec.count)
-            _write_topk(g, entries, spec.out)
-            summary.update({"query": spec.query, "count": spec.count,
-                            "returned": len(entries)})
-        else:
-            hist = evaluate.score_histogram(mat)
-            evaluate.write_histogram_csv(hist, spec.out)
-            summary.update({"na_pairs": hist.na, "total_pairs": hist.total_pairs})
-
-    with open(f"{spec.out}.summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _replacing(spec.out, f"{spec.out}.summary.json") as [out, summary_out]:
+        if spec.command == "eval":
+            corpus, corpus_report = evaluate.load_corpus(spec.corpus, g)
+            table = evaluate.run_benchmark(g, corpus, configs, spec.m_values, spec.threads)
+            evaluate.write_precision_csv(table, out)
+            summary.update({
+                "corpus_file": spec.corpus,
+                "fields": {k: len(v) for k, v in sorted(corpus.fields.items())},
+                "unresolved_ids": {k: list(v) for k, v in sorted(corpus_report.unresolved.items())},
+                "dropped_fields": list(corpus_report.dropped_fields),
+                "m_values": list(spec.m_values),
+                "query_count": table.query_count,
+            })
+        elif spec.command == "cases":
+            pairs = _read_pairs(spec.pairs, g)
+            table = evaluate.case_analysis(g, pairs, configs, spec.threads)
+            evaluate.write_cases_csv(table, g, out)
+            summary.update({"pairs_file": spec.pairs, "pairs": len(pairs)})
+        elif spec.command == "trace":
+            points = evaluate.convergence_trace(g, cfg, spec.threads)
+            evaluate.write_trace_csv(points, out)
+            summary["pairs_used"] = points[-1].pairs_used if points else 0
+        else:  # compute, topk, histogram: one matrix
+            # an unknown query fails before the matrix is computed
+            qid = g.id_of(spec.query) if spec.command == "topk" else None
+            mat, report = compute(g, cfg, spec.threads)
+            summary["iteration"] = None if report is None else asdict(report)
+            if spec.command == "compute":
+                write_matrix_csv(mat, out)
+                summary.update({"k": mat.k, "na_pairs": mat.na_count()})
+            elif spec.command == "topk":
+                entries = top_k(mat, qid, spec.count)
+                _write_topk(g, entries, out)
+                summary.update({"query": spec.query, "count": spec.count,
+                                "returned": len(entries)})
+            else:
+                hist = evaluate.score_histogram(mat)
+                evaluate.write_histogram_csv(hist, out)
+                summary.update({"na_pairs": hist.na, "total_pairs": hist.total_pairs})
+        with open(summary_out, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

@@ -190,6 +190,40 @@ def test_compute_summary_sidecar(shared_files, tmp_path):
     assert payload["na_pairs"] == 0
 
 
+@pytest.mark.parametrize("fail", ["csv", "summary", "interrupt"])
+def test_a_failed_run_leaves_no_partial_output(shared_files, tmp_path, monkeypatch, capsys,
+                                               fail):
+    # the CSV writer or the summary's fails once its file is written, as on a
+    # full disk, or the run is interrupted there: a fresh path gets no file
+    # and no temporary one, and the last run's outputs keep their bytes
+    edge, meta = shared_files
+    old = tmp_path / "old.csv"
+    assert main(_compute_argv(edge, meta, str(old))) == 0
+    kept = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    owner, name = (json, "dump") if fail == "summary" else (cli, "write_matrix_csv")
+    write = getattr(owner, name)
+    error = KeyboardInterrupt if fail == "interrupt" else OSError
+
+    def failing(*args, **kwargs):
+        write(*args, **kwargs)
+        raise error("No space left on device")
+
+    monkeypatch.setattr(owner, name, failing)
+    for out in (fresh / "scores.csv", old):
+        # --kmax 2 would change both files, were they replaced
+        argv = _compute_argv(edge, meta, str(out), "--kmax", "2")
+        if error is OSError:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "citesim: error: No space left on device\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+    assert list(fresh.iterdir()) == []
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p != fresh} == kept
+
+
 def test_one_shot_summary_has_no_iteration_block(shared_files, tmp_path):
     edge, meta = shared_files
     out = tmp_path / "cocit.csv"
