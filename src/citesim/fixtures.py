@@ -6,9 +6,11 @@ tiny enough to verify by hand.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
-from .graph import CitationGraph, PaperMeta, load_graph
+from .graph import CitationGraph, PaperMeta, csr_rows, load_graph
 from .matrix import write_table
 
 # One pair (e, f) shares both a citer (i) and a reference (b); (d, g) share
@@ -86,14 +88,36 @@ def star_graph(k: int) -> CitationGraph:
     return CitationGraph.from_edges(k + 2, edges, meta)
 
 
+def _draw_graph(n: int, seed: int, rows) -> CitationGraph:
+    """The seeded graph over papers ``0..n-1`` in which u cites v when a
+    uniform draw falls below ``p[v]``, where ``rows`` yields each paper's
+    ``p`` in turn, u ascending; u never cites the papers past the end of
+    its ``p``.
+
+    Row u takes the next ``len(p)`` uniforms of one ``default_rng(seed)``
+    stream in a single ``rng.random`` call.  Each draw therefore sits at the
+    stream position that a row-major draw of every (u, v) in turn, one
+    scalar or one whole square at a time, gives it: the graphs equal those
+    of such per-pair draws, and no n×n array or per-pair loop is needed.
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u, p in enumerate(rows):
+        edges += zip(repeat(u), (rng.random(p.shape[0]) < p).nonzero()[0].tolist())
+    return CitationGraph.from_edges(n, edges)
+
+
 def random_graph(n: int, density: float, seed: int) -> CitationGraph:
     """Directed Bernoulli graph: each ordered non-self pair is an edge with
-    probability ``density``.  Same seed, same graph."""
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, False)
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
-    return CitationGraph.from_edges(n, edges)
+    probability ``density``.  Same seed, same graph.
+
+    Row u draws n uniforms, one per column, against ``p[n - u:2n - u]``:
+    ``p`` holds ``density`` everywhere but at index n, which holds 0 and
+    which that window puts at column u.  The edges equal those of one
+    ``rng.random((n, n))`` square with its diagonal cleared.
+    """
+    p = np.where(np.arange(-n, n) == 0, 0.0, density)
+    return _draw_graph(n, seed, (p[n - u:2 * n - u] for u in range(n)))
 
 
 def clustered_citation_graph(
@@ -108,16 +132,15 @@ def clustered_citation_graph(
     Papers cite only lower-numbered papers (citations point back in time),
     densely inside a community and sparsely across.  Returns the graph and
     a name -> member-id-set map suitable as retrieval ground truth.
+
+    Paper v draws v uniforms, one per older paper u, and cites u when its
+    draw is below ``p_in`` (same community) or ``p_out`` (another one); the
+    edges equal those of one scalar ``rng.random()`` per pair, v ascending
+    and then u ascending.
     """
-    rng = np.random.default_rng(seed)
     n = communities * size
-    edges = []
-    for v in range(n):
-        for u in range(v):
-            p = p_in if u // size == v // size else p_out
-            if rng.random() < p:
-                edges.append((v, u))
-    g = CitationGraph.from_edges(n, edges)
+    field = np.arange(n) // size
+    g = _draw_graph(n, seed, (np.where(field[:v] == field[v], p_in, p_out) for v in range(n)))
     fields = {
         f"community-{c}": frozenset(range(c * size, (c + 1) * size))
         for c in range(communities)
@@ -126,13 +149,15 @@ def clustered_citation_graph(
 
 
 def write_edge_file(g: CitationGraph, path):
-    """Serialize edges in the loadable tab-separated format, sorted by id.
+    """Serialize edges in the loadable tab-separated format, sorted by id:
+    the out view's CSR rows, which list them in (citing, cited) order.
 
     Papers with no edges do not appear here; write the metadata file too if
     isolated papers must survive a round trip.
     """
+    out = g.csr("out")
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in sorted(g.edges):
+        for u, v in zip(csr_rows(out).tolist(), out[1].tolist()):
             fh.write(f"{g.external_id(u)}\t{g.external_id(v)}\n")
 
 

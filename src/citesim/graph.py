@@ -137,6 +137,8 @@ class CitationGraph:
         :func:`load_graph` for streams that still need cleaning.  The error
         names the first edge, in the given order, that breaks a rule.
         """
+        if n < 0:
+            raise ValueError("node count must be non-negative")
         pairs = list(edges)
         try:
             uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,16 @@ def test_star_graph_needs_a_referrer():
         fixtures.star_graph(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CitationGraph.from_edges(-1, []),
+    lambda: fixtures.random_graph(-1, 0.5, 1),
+    lambda: fixtures.clustered_citation_graph(-1, 15),
+], ids=["from_edges", "random_graph", "clustered_citation_graph"])
+def test_a_negative_node_count_is_named(build):
+    with pytest.raises(ValueError, match="^node count must be non-negative$"):
+        build()
+
+
 def test_paper_meta_validation():
     with pytest.raises(DataError):
         PaperMeta("")
@@ -397,6 +408,61 @@ def test_file_round_trip(tmp_path, gap_graph):
     }
     reloaded = {(g2.external_id(u), g2.external_id(v)) for u, v in g2.edges}
     assert original == reloaded
+
+
+# sha256 of write_edge_file's bytes, then write_meta_file's, for each seeded
+# graph: the benchmark's inputs at seeds 1 and 2, and the edge cases.  The
+# digests were taken from the per-pair and whole-square draws that the row
+# draws replaced.
+SEEDED_GRAPH_DIGESTS = [
+    ("random", (600, 5 / 600, 1),
+     "3a0669949bff6e7ca118d36a51c4d7a42aaf240d3ebd34411701b5d077b5a5db"),
+    ("random", (600, 5 / 600, 2),
+     "6ae5b283f331a6a3f9dce7541ba2bb5051764478292f7e50cfda6b76f4f771a6"),
+    ("clustered", (10, 60, 0.13, 0.004, 1),
+     "3d7724e67c4d0939688c792169bd673a970e6611c4209570c552a4b40b2bd068"),
+    ("clustered", (10, 60, 0.13, 0.004, 2),
+     "4963a49b555bbcc4aa285a24a85108515b83c4b250da396f99509dedd4c71259"),
+    ("random", (97, 0.3, 5), "4520970424d8480ee4eec21567bca1d85c692e87a4be4367c62ff9494ba17789"),
+    ("random", (6, 0.0, 0), "f92cd9ac2a470941074049482f7b4df39d22421c36263124ca912a4c9ba14613"),
+    ("random", (1, 0.5, 2), "f6747577f12e3abdf2b293cc80fcec195af4db8fbef603a98dc10b4dc7e0343f"),
+    ("random", (0, 0.5, 1), "9616108de3a9e00980ceef3cb0418a09f09d5866aba12ae4cca85c9e1d922239"),
+    ("clustered", (), "e08bf9188973ed06422088da8ef839dbaa28c1301a85cbcbea2821b78ff5f2c2"),
+    ("clustered", (4, 30, 0.2, 0.01, 3),
+     "bb04e5d9cd70ea8877e2b1c20ca0dc16d91f1ccef427a7fb1916c3c293040b14"),
+    ("clustered", (3, 0, 0.3, 0.02, 0),
+     "9616108de3a9e00980ceef3cb0418a09f09d5866aba12ae4cca85c9e1d922239"),
+]
+
+
+@pytest.mark.parametrize("kind, args, digest", SEEDED_GRAPH_DIGESTS)
+def test_seeded_graphs_keep_their_bytes(tmp_path, kind, args, digest):
+    if kind == "random":
+        g = fixtures.random_graph(*args)
+    else:
+        g, _ = fixtures.clustered_citation_graph(*args)
+    fixtures.write_edge_file(g, tmp_path / "g.tsv")
+    fixtures.write_meta_file(g, tmp_path / "m.csv")
+    data = (tmp_path / "g.tsv").read_bytes() + (tmp_path / "m.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fixtures.random_graph(1200, 5 / 1200, 1),
+    lambda: fixtures.clustered_citation_graph(20, 60, 0.13, 0.004, 1),
+], ids=["random", "clustered"])
+def test_seeded_graphs_draw_no_square(build):
+    # tracemalloc peak in n x n float64 squares at n=1200: 0.14 and 0.16
+    # drawn row by row; a whole square, or clustered's whole lower triangle
+    # with its index arrays, would read at least 0.5
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1200 * 1200) < 0.25
 
 
 def test_missing_file_raises():

@@ -5,7 +5,9 @@ import names one of those or ``citesim`` itself.  Every imported name is
 used in its module, or re-exported through ``__all__``, so a deletion
 leaves no dead import behind.  No module calls numpy at import, apart from
 ``np.dtype``: numpy work at import grows every process's RSS, so tables and
-masks are built at first use.
+masks are built at first use.  For the same reason a fresh
+``import citesim.cli`` loads neither ``citesim.fixtures`` nor
+``numpy.random``.
 
 No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
 ``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
@@ -14,6 +16,7 @@ Every product is a gather-add in a fixed order, which keeps its bits, and
 """
 import ast
 import os
+import subprocess
 import sys
 
 import pytest
@@ -52,6 +55,18 @@ def _root_name(node):
 
 def test_every_module_is_checked():
     assert "__init__.py" in MODULES and "evaluate.py" in MODULES
+
+
+def test_the_cli_never_loads_the_graph_generators():
+    # every timed process starts from ``import citesim.cli``: numpy.random
+    # alone would add to each one's start-up, and citesim.fixtures only
+    # writes test and benchmark inputs
+    path = os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, citesim.cli; "
+            "print('citesim.fixtures' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
 
 
 @pytest.mark.parametrize("name", MODULES)
