@@ -10,14 +10,18 @@ One invocation, one command, file in, files out:
     citesim cases     --graph g.tsv --pairs pairs.tsv --out cases.csv
     citesim validate  --graph g.tsv [--measure crank --out scores.csv]
 
-Every command loads the graph and starts one summary: the command, its
-input files, the thread count and the graph shape.  `compute`, `topk`,
-`histogram` and `validate --measure` each compute one matrix under the
-config their flags give (the numeric defaults are `MeasureConfig`'s);
-`eval` and `cases` score one config per measure, or only --measure's, and
-`trace` runs the iterations itself.  A command that writes a CSV writes the
-summary beside it as `<out>.summary.json`, with the config and any
-iteration report, so a run can be reproduced from its outputs alone.
+:func:`parse_args` builds a command's configs once, from its flags:
+--measure's, or one per measure in its default normalization (the numeric
+defaults are `MeasureConfig`'s), so the configs that run vet the numbers.
+What the flags alone refuse is refused before the graph is read: a
+raw-count `histogram`, a one-shot `trace`.  Every command then loads the
+graph and starts one summary: the command, its input files, the thread
+count and the graph shape.  `compute`, `topk`, `histogram` and
+`validate --measure` each compute one matrix under their config; `eval` and
+`cases` score every config, and `trace` runs the iterations itself.  A
+command that writes a CSV writes the summary beside it as
+`<out>.summary.json`, with the config and any iteration report, so a run
+can be reproduced from its outputs alone.
 Both are written to temporary files beside them and renamed into place,
 the CSV first, once both are complete: a run that fails leaves no output,
 or the previous run's, never a part of one.
@@ -56,7 +60,6 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -140,18 +143,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(spec: argparse.Namespace, measure: Optional[str] = None) -> MeasureConfig:
-    """The flags' config; a named measure gets its default normalization."""
-    return MeasureConfig(
-        measure=measure or spec.measure,
-        normalization=spec.normalization if measure is None else None,
-        C=spec.C,
-        lam=spec.lam,
-        k_max=spec.k_max,
-        epsilon=spec.epsilon,
-    )
-
-
 def parse_args(argv) -> argparse.Namespace:
     """The parsed command line, validated; usage problems exit 1."""
     parser = _build_parser()
@@ -160,8 +151,10 @@ def parse_args(argv) -> argparse.Namespace:
         parser.error("--threads must be >= 1")
     if spec.command == "topk" and spec.count < 1:
         parser.error("--count must be >= 1")
-    try:
-        _config(spec, None if spec.measure else "crank")  # no measure: vet the numbers
+    try:  # --measure's config, or each measure's in its default normalization
+        spec.configs = [MeasureConfig(measure, spec.normalization if spec.measure else None,
+                                      spec.C, spec.lam, spec.k_max, spec.epsilon)
+                        for measure in ([spec.measure] if spec.measure else MEASURES)]
     except ConfigError as exc:
         parser.error(str(exc))
     if spec.measure is None and spec.normalization is not None:
@@ -241,9 +234,12 @@ def _replacing(*paths):
 
 
 def _dispatch(spec: argparse.Namespace) -> int:
-    if spec.command == "histogram" and not _config(spec).bounded:
-        # refused before the graph is read, not after the matrix is computed
+    cfg = spec.configs[0]  # the one config of every command but eval and cases
+    # what the flags alone refuse is refused before the graph is read
+    if spec.command == "histogram" and not cfg.bounded:
         raise ConfigError(evaluate.UNBOUNDED_HISTOGRAM)
+    if spec.command == "trace" and not cfg.iterative:
+        raise ConfigError(f"{cfg.measure} is not an iterative measure")
     g, load_report = load_graph_files(spec.graph, spec.meta)
     summary = {
         "command": spec.command,
@@ -261,10 +257,8 @@ def _dispatch(spec: argparse.Namespace) -> int:
         return 0
 
     if spec.command in ("eval", "cases"):
-        configs = [_config(spec)] if spec.measure else [_config(spec, m) for m in MEASURES]
-        summary["configs"] = [_config_payload(c) for c in configs]
+        summary["configs"] = [_config_payload(c) for c in spec.configs]
     else:
-        cfg = _config(spec)
         summary["config"] = _config_payload(cfg)
     if spec.command == "validate":
         return _verify_matrix(compute(g, cfg, spec.threads)[0], spec.out, summary)
@@ -272,7 +266,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
     with _replacing(spec.out, f"{spec.out}.summary.json") as [out, summary_out]:
         if spec.command == "eval":
             corpus, corpus_report = evaluate.load_corpus(spec.corpus, g)
-            table = evaluate.run_benchmark(g, corpus, configs, spec.m_values, spec.threads)
+            table = evaluate.run_benchmark(g, corpus, spec.configs, spec.m_values, spec.threads)
             evaluate.write_precision_csv(table, out)
             summary.update({
                 "corpus_file": spec.corpus,
@@ -284,7 +278,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
             })
         elif spec.command == "cases":
             pairs = _read_pairs(spec.pairs, g)
-            table = evaluate.case_analysis(g, pairs, configs, spec.threads)
+            table = evaluate.case_analysis(g, pairs, spec.configs, spec.threads)
             evaluate.write_cases_csv(table, g, out)
             summary.update({"pairs_file": spec.pairs, "pairs": len(pairs)})
         elif spec.command == "trace":

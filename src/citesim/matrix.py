@@ -92,11 +92,13 @@ class SimilarityMatrix:
 
         Only the upper triangle including the diagonal is read, so the
         lower triangle need not be filled or symmetrized.  N/A pairs store
-        +0.0, whatever the square holds there.
+        +0.0, whatever the square holds there; the diagonal is never N/A.
         """
         n = square.shape[0]
         if square.shape != (n, n):
             raise ValueError("square score array required")
+        if na is not None and na.diagonal().any():
+            raise ValueError("the diagonal is never N/A")
         m = cls(n, k=k, bounded=bounded)
         for p, cells in m._rows():
             m._scores[cells] = square[p, p:]
@@ -121,6 +123,8 @@ class SimilarityMatrix:
 
     def set_na(self, p: int, q: int):
         i = self._cell(p, q)
+        if p == q:
+            raise ValueError("the diagonal is never N/A")
         self._na[i] = True
         self._scores[i] = 0.0
 
@@ -162,8 +166,7 @@ class SimilarityMatrix:
 
     def na_count(self) -> int:
         """Number of unordered off-diagonal N/A pairs."""
-        # set_na may flag a diagonal cell; those are not pairs
-        return int(np.count_nonzero(self._na)) - int(np.count_nonzero(self._na[self._diag]))
+        return int(np.count_nonzero(self._na))
 
     def _exported(self, cells: slice = slice(None)) -> np.ndarray:
         # packed flags of the pairs a matrix CSV holds: score > 0, never N/A

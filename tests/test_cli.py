@@ -420,6 +420,36 @@ def test_histogram_rejects_raw_counts_before_reading_the_graph(shared_files, tmp
     assert not out.exists() and not (tmp_path / "h.csv.summary.json").exists()
 
 
+_FLAG_ONLY_REFUSALS = [  # (argv, is a usage error, stderr message)
+    (["histogram", "--measure", "coupling", "--normalization", "raw_count"], False,
+     "histogram requires [0,1] scores; raw counts are unbounded"),
+    *[(["trace", "--measure", m], False, f"{m} is not an iterative measure")
+      for m in MEASURES if not MeasureConfig(m).iterative],
+    *[([command, *extra, flag, value], True, message)
+      for command, extra in [("validate", []), ("eval", ["--corpus", "c.txt"]),
+                             ("cases", ["--pairs", "p.tsv"])]
+      for flag, value, message in [("--C", "1.5", "C must be in [0,1], got 1.5"),
+                                   ("--kmax", "0", "k_max must be an integer >= 1, got 0")]],
+]
+
+
+@pytest.mark.parametrize("argv, usage, message", _FLAG_ONLY_REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in _FLAG_ONLY_REFUSALS])
+def test_flag_only_refusals_exit_1_before_reading_the_graph(shared_files, tmp_path, capsys,
+                                                            monkeypatch, argv, usage, message):
+    # the configs come from the flags alone, so these need no graph
+    edge, meta = shared_files
+    calls = []
+    monkeypatch.setattr(cli, "load_graph_files", lambda *args: calls.append(args))
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--graph", edge, "--meta", meta, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == f"citesim: error: {message}"
+    assert len(lines) == 1 + usage  # a usage error prints the usage line first
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "x.csv.summary.json").exists()
+
+
 def test_trace_command_matches_library(shared_files, tmp_path):
     edge, meta = shared_files
     out = tmp_path / "trace.csv"

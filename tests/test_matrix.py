@@ -42,6 +42,23 @@ def test_na_reads_zero_but_is_flagged():
     assert m.na_count() == 0
 
 
+def test_set_na_refuses_the_diagonal():
+    m = SimilarityMatrix(3)
+    with pytest.raises(ValueError, match="the diagonal is never N/A"):
+        m.set_na(1, 1)
+    assert m.get(1, 1) == 1.0 and not m.is_na(1, 1)
+    assert m.same_bits(SimilarityMatrix(3))
+
+
+def test_from_square_refuses_a_diagonal_na():
+    na = np.zeros((3, 3), dtype=bool)
+    na[2, 2] = True
+    with pytest.raises(ValueError, match="the diagonal is never N/A"):
+        SimilarityMatrix.from_square(np.eye(3), na=na)
+    with pytest.raises(ValueError, match="the diagonal is never N/A"):
+        SimilarityMatrix.from_square(np.eye(3), na=np.eye(3, dtype=bool))
+
+
 def test_row_views_match_elementwise():
     rng = np.random.default_rng(1)
     a = rng.random((6, 6))

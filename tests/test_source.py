@@ -7,7 +7,8 @@ leaves no dead import behind.  No module calls numpy at import, apart from
 ``np.dtype``: numpy work at import grows every process's RSS, so tables and
 masks are built at first use.  For the same reason a fresh
 ``import citesim.cli`` loads neither ``citesim.fixtures`` nor
-``numpy.random``.
+``numpy.random``.  The project's version in ``pyproject.toml`` is
+``citesim.__version__``.
 
 No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
 ``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
@@ -16,10 +17,13 @@ Every product is a gather-add in a fixed order, which keeps its bits, and
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+import citesim
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "citesim")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
@@ -126,3 +130,11 @@ def test_no_product_calls_blas(name):
         found += [(node.lineno, part) for path in dotted for part in path.split(".")
                   if part in BLAS_NAMES]
     assert not found, (name, found)
+
+
+def test_the_package_version_is_the_project_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    with open(os.path.join(os.path.dirname(os.path.dirname(SRC)), "pyproject.toml"),
+              encoding="utf-8") as fh:
+        project = re.search(r"^\[project\]$(.*?)^(?:\[|\Z)", fh.read(), re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [citesim.__version__]
