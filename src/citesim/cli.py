@@ -64,7 +64,8 @@ from itertools import islice
 import numpy as np
 
 from . import evaluate
-from .engine import MEASURES, NORMALIZATIONS, MeasureConfig, compute, top_k
+from .engine import (MEASURES, NORMALIZATIONS, MeasureConfig, compute, require_iterative,
+                     top_k)
 from .errors import ConfigError, DataError
 from .graph import csv_rows, load_graph_files, plain_ascii, read_tab_lines
 from .matrix import (ROW_DTYPE, SCORE_FORMAT, compare_rows, read_matrix_csv, write_matrix_csv,
@@ -238,8 +239,8 @@ def _dispatch(spec: argparse.Namespace) -> int:
     # what the flags alone refuse is refused before the graph is read
     if spec.command == "histogram" and not cfg.bounded:
         raise ConfigError(evaluate.UNBOUNDED_HISTOGRAM)
-    if spec.command == "trace" and not cfg.iterative:
-        raise ConfigError(f"{cfg.measure} is not an iterative measure")
+    if spec.command == "trace":
+        require_iterative(cfg)
     g, load_report = load_graph_files(spec.graph, spec.meta)
     summary = {
         "command": spec.command,

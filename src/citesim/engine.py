@@ -53,7 +53,8 @@ transpose, and gives the block's largest change from the previous iterate.
 Every measure forms its scores row block by row block, with one guarded
 inverse, :func:`_invert`, and one Jaccard rule, :func:`_jaccard`.  A
 one-shot measure adds its terms into one square by :func:`_shared_counts`
-passes, then closes its row blocks as a recursion does.
+passes, then closes its row blocks as a recursion does.  The
+:class:`SimilarityMatrix` a run returns keeps its closed square, uncopied.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -464,7 +465,13 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
             _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
     for r0, r1 in _row_blocks(g.n, False):
         _close_rows(scores, r0, r1)
-    return SimilarityMatrix.from_square(scores, k=0, bounded=cfg.bounded)
+    return SimilarityMatrix._from_closed(scores, na_mask(g, cfg), 0, cfg.bounded)
+
+
+def require_iterative(cfg: MeasureConfig):
+    """Refuse a one-shot cfg where an iterative one is needed."""
+    if not cfg.iterative:
+        raise ConfigError(f"{cfg.measure} is not an iterative measure")
 
 
 def _require(cfg: MeasureConfig, measure: str):
@@ -672,8 +679,7 @@ def iteration_scores(
     :meth:`SimilarityMatrix.same_bits` tells ``-0.0`` from ``+0.0``, and the
     matrix CSV writes neither, as it holds positive scores only.
     """
-    if not cfg.iterative:
-        raise ConfigError(f"{cfg.measure} is not an iterative measure")
+    require_iterative(cfg)
     if initial is None:
         prev = np.eye(g.n)
     else:
@@ -700,10 +706,8 @@ def _run_iterations(g, cfg, threads):
             if deltas[-1] < cfg.epsilon:
                 break
     k_run = len(deltas)
-    # N/A depends on the graph alone: built once the steps are done, and
-    # only where a pair can be N/A
-    na = na_mask(g, cfg) if cfg.normalization == "pairwise" else None
-    m = SimilarityMatrix.from_square(cur, na=na, k=k_run, bounded=True)
+    # N/A depends on the graph alone: built once the steps are done
+    m = SimilarityMatrix._from_closed(cur, na_mask(g, cfg), k_run, True)
     return m, IterationReport(k_run, deltas[-1] < cfg.epsilon, tuple(deltas))
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .engine import MeasureConfig, compute, iteration_scores, na_mask, top_k
+from .engine import MeasureConfig, compute, iteration_scores, na_mask, require_iterative, top_k
 from .graph import CitationGraph, read_tab_lines
 from .matrix import SCORE_FORMAT, SimilarityMatrix, write_table
 
@@ -195,7 +195,8 @@ def convergence_trace(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) ->
     The top 10 are re-selected at every k.  Graphs with fewer than 10
     scoreable pairs use what they have; ``pairs_used`` records the count.
     """
-    # the scored off-diagonal pairs p < q, read in packed order
+    require_iterative(cfg)  # before the mask is built
+    # the scored off-diagonal pairs p < q, read in row-major order
     keep = np.triu(~na_mask(g, cfg), 1)
     points = []
     for k, square in iteration_scores(g, cfg, threads):

@@ -1,20 +1,24 @@
 """Symmetric pair-score storage with an explicit N/A state.
 
-Scores live on unordered pairs (p, q) with p <= q; one cell per pair, so
-symmetry is structural rather than a runtime promise.  N/A marks pairs whose
-measure is undefined (an empty required neighborhood); an N/A pair stores
-+0.0, so it reads as 0.0 through every score view and numeric consumers
-never see a sentinel, and :meth:`is_na` carries the distinction.
+Scores live on unordered pairs (p, q).  N/A marks pairs whose measure is
+undefined (an empty required neighborhood); an N/A pair stores +0.0, so it
+reads as 0.0 through every score view and numeric consumers never see a
+sentinel, and :meth:`is_na` carries the distinction.
 
-Storage is one packed row-major upper triangle, diagonal included: a
-float64 array of scores and a bool array of N/A flags, n*(n+1)/2 cells
-each.  Every measure builds its full n x n square before packing it, so
-the packed store never outgrows what the run has already held.
+Storage is the closed n x n square itself: a float64 array of scores and a
+bool array of N/A flags, 9 n^2 bytes resident, twice the 4.5 n^2 of a
+packed upper triangle.  In return no copy is made: every measure builds its
+scores in such a square, 1.0 on the diagonal and the lower triangle copied
+onto the upper one, and the store keeps that square.  Every write goes to
+both (p, q) and (q, p), so the two triangles always agree, and row p of the
+square is every score against p.
 
 The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``),
-but :func:`write_matrix_csv` formats chunks of :data:`_CHUNK` packed cells
-with numpy, one uint8 line matrix and one write per chunk.  Every positive
-normal score in [1e-10, 2**53) is formatted by exact integer arithmetic:
+but :func:`write_matrix_csv` scans the upper triangle in row blocks of
+about :data:`_SCAN` cells and formats the scores it exports with numpy,
+:data:`_CHUNK` at a time, one uint8 line matrix and one write per chunk.
+Every positive normal score in [1e-10, 2**53) is formatted by exact integer
+arithmetic:
 v = M * 2**E is scaled to the 17-digit quotient M * 5**(16-X) * 2**(E+16-X),
 X = floor(log10 v), with the product held in two uint64 limbs (it is below
 2**116) and the shift rounded half to even on the exact remainder, so the
@@ -22,7 +26,8 @@ bytes are those of ``%``.  Any other exported score (below 1e-10, from 2**53
 up, inf) is formatted by ``%`` in its place.  A line is laid out in fixed
 columns, NUL wherever a field has no byte (an id's padding, a fraction's
 trailing zeros, a point with no digit after it), and written with every
-NUL dropped.  A chunk's temporaries peak at about 2 MB whatever n is.
+NUL dropped.  The temporaries peak at about 3 MB while n is at most
+:data:`_SCAN`; beyond that a block is one row, and they grow with n.
 """
 from __future__ import annotations
 
@@ -40,8 +45,10 @@ SCORE_FORMAT = "%.17g"
 
 ROW_DTYPE = np.dtype([("p", np.int64), ("q", np.int64), ("score", np.float64)])
 
-# write_matrix_csv: packed cells per chunk, and the longest SCORE_FORMAT
-# text of a float64 ("2.2250738585072014e-308")
+# write_matrix_csv: cells scanned per row block (a block has at least one
+# row), scores formatted per write, and the longest SCORE_FORMAT text of a
+# float64 ("2.2250738585072014e-308")
+_SCAN = 32768
 _CHUNK = 8192
 _SCORE_WIDTH = 23
 
@@ -59,53 +66,48 @@ class SimilarityMatrix:
         self.n = n
         self.k = k
         self.bounded = bounded
-        size = n * (n + 1) // 2
-        self._scores = np.zeros(size)
-        self._na = np.zeros(size, dtype=bool)
-        p = np.arange(n)
-        self._diag = p * n - p * (p - 1) // 2  # packed index of (p, p)
-        self._scores[self._diag] = 1.0
+        self._scores = np.eye(n)
+        self._na = np.zeros((n, n), dtype=bool)
 
-    def _idx(self, p, q):
-        # packed row-major upper triangle, diagonal included; p <= q, any shape
-        return self._diag[p] + (q - p)
-
-    def _pairs(self, idx: np.ndarray) -> np.ndarray:
-        # inverse of _idx: the (p, q) rows of packed indices, as a (k, 2) array
-        p = np.searchsorted(self._diag, idx, side="right") - 1
-        return np.column_stack([p, idx - self._diag[p] + p])
-
-    def _rows(self) -> Iterator[tuple[int, slice]]:
-        # the cells (p, p), (p, p+1), ..., (p, n-1) of row p are one slice
-        for p, lo in enumerate(self._diag.tolist()):
-            yield p, slice(lo, lo + self.n - p)
-
-    def _cell(self, p: int, q: int) -> int:
-        if not (0 <= p < self.n and 0 <= q < self.n):
-            raise ValueError(f"pair ({p}, {q}) out of range [0, {self.n})")
-        return self._idx(min(p, q), max(p, q))
+    @classmethod
+    def _from_closed(cls, square: np.ndarray, na: np.ndarray, k: int,
+                     bounded: bool) -> "SimilarityMatrix":
+        # keeps a symmetric float64 square and its symmetric N/A mask, both
+        # n x n and C-contiguous, without copying them; N/A cells are set to
+        # +0.0 in place.  cls(0) allocates no square to be replaced.
+        m = cls(0, k=k, bounded=bounded)
+        m.n = square.shape[0]
+        np.copyto(square, 0.0, where=na)
+        m._scores, m._na = square, na
+        return m
 
     @classmethod
     def from_square(cls, square: np.ndarray, na: Optional[np.ndarray] = None,
                     k: int = 0, bounded: bool = True) -> "SimilarityMatrix":
-        """Pack a full square score array (and optional N/A mask).
+        """Store a copy of a full square score array (and optional N/A mask).
 
-        Only the upper triangle including the diagonal is read, so the
-        lower triangle need not be filled or symmetrized.  N/A pairs store
-        +0.0, whatever the square holds there; the diagonal is never N/A.
+        The matrix holds both as n x n squares, 9 n^2 bytes.  Only the upper
+        triangle including the diagonal is read, so the lower triangle need
+        not be filled or symmetrized: the copy's is filled from the upper
+        one.  ``na`` must have the square's shape.  N/A pairs store +0.0,
+        whatever the square holds there; the diagonal is never N/A.
         """
         n = square.shape[0]
         if square.shape != (n, n):
             raise ValueError("square score array required")
+        if na is not None and np.shape(na) != (n, n):
+            raise ValueError(f"N/A mask of shape {np.shape(na)} for a {n}x{n} square")
         if na is not None and na.diagonal().any():
             raise ValueError("the diagonal is never N/A")
-        m = cls(n, k=k, bounded=bounded)
-        for p, cells in m._rows():
-            m._scores[cells] = square[p, p:]
-            if na is not None:
-                m._na[cells] = na[p, p:]
-        m._scores[m._na] = 0.0
-        return m
+        lower = np.tri(n, dtype=bool)
+        na = np.zeros((n, n), dtype=bool) if na is None else np.where(lower, na.T, na)
+        return cls._from_closed(np.where(lower, square.T, square).astype(float, copy=False),
+                                na.astype(bool, copy=False), k, bounded)
+
+    def _cell(self, p: int, q: int) -> tuple:
+        if not (0 <= p < self.n and 0 <= q < self.n):
+            raise ValueError(f"pair ({p}, {q}) out of range [0, {self.n})")
+        return p, q
 
     # -- element access ----------------------------------------------------
 
@@ -118,66 +120,53 @@ class SimilarityMatrix:
 
     def set(self, p: int, q: int, value: float):
         i = self._cell(p, q)
-        self._scores[i] = value
-        self._na[i] = False
+        self._scores[i] = self._scores[i[::-1]] = value
+        self._na[i] = self._na[i[::-1]] = False
 
     def set_na(self, p: int, q: int):
         i = self._cell(p, q)
         if p == q:
             raise ValueError("the diagonal is never N/A")
-        self._na[i] = True
-        self._scores[i] = 0.0
+        self._na[i] = self._na[i[::-1]] = True
+        self._scores[i] = self._scores[i[::-1]] = 0.0
 
-    # -- bulk views ---------------------------------------------------------
+    # -- bulk views (copies) -------------------------------------------------
 
-    def _row_index(self, p: int) -> np.ndarray:
-        # packed index of the pair (p, q) for every q
+    def _row(self, p: int) -> int:
         if not 0 <= p < self.n:
             raise ValueError(f"paper id {p} out of range [0, {self.n})")
-        q = np.arange(self.n)
-        return self._idx(np.minimum(p, q), np.maximum(p, q))
+        return p
 
     def row_scores(self, p: int) -> np.ndarray:
         """All scores against p as a length-n array (N/A entries read 0.0)."""
-        return self._scores[self._row_index(p)]
+        return self._scores[self._row(p)].copy()
 
     def row_na(self, p: int) -> np.ndarray:
-        return self._na[self._row_index(p)]
-
-    def _square(self, packed: np.ndarray) -> np.ndarray:
-        # the symmetric n x n array holding packed[_idx(p, q)] at (p, q)
-        out = np.empty((self.n, self.n), dtype=packed.dtype)
-        for p, cells in self._rows():
-            out[p, p:] = out[p:, p] = packed[cells]
-        return out
+        return self._na[self._row(p)].copy()
 
     def dense_scores(self) -> np.ndarray:
         """Full square score array; intended for desk-scale n."""
-        return self._square(self._scores)
+        return self._scores.copy()
 
     def dense_na(self) -> np.ndarray:
-        return self._square(self._na)
+        return self._na.copy()
 
     def offdiag_packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, na) over the n·(n-1)/2 unordered off-diagonal pairs."""
-        mask = np.ones(self._scores.shape[0], dtype=bool)
-        mask[self._diag] = False
-        return self._scores[mask], self._na[mask]
+        """(scores, na) over the n·(n-1)/2 unordered off-diagonal pairs,
+        p < q in row-major order."""
+        upper = ~np.tri(self.n, dtype=bool)
+        return self._scores[upper], self._na[upper]
 
     def na_count(self) -> int:
         """Number of unordered off-diagonal N/A pairs."""
-        return int(np.count_nonzero(self._na))
-
-    def _exported(self, cells: slice = slice(None)) -> np.ndarray:
-        # packed flags of the pairs a matrix CSV holds: score > 0, never N/A
-        return self._scores[cells] > 0.0
+        return int(np.count_nonzero(self._na)) // 2
 
     def entries_above(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (p, q, score) for each row :func:`write_matrix_csv` writes."""
-        exported = self._exported()
-        for p, cells in self._rows():
-            keep = np.flatnonzero(exported[cells])
-            yield from zip(repeat(p), (keep + p).tolist(), self._scores[cells][keep].tolist())
+        """Yield (p, q, score) for each row :func:`write_matrix_csv` writes:
+        p <= q and score > 0, so never an N/A pair."""
+        for p, row in enumerate(self._scores):
+            keep = np.flatnonzero(row[p:] > 0.0)
+            yield from zip(repeat(p), (keep + p).tolist(), row[p:][keep].tolist())
 
     def same_bits(self, other: "SimilarityMatrix") -> bool:
         """True when every pair carries the identical float and N/A bit.
@@ -296,19 +285,30 @@ def _id_text(n: int) -> np.ndarray:
 
 def write_matrix_csv(m: SimilarityMatrix, path):
     """Write `p,q,score` rows (p <= q, score > 0, N/A omitted), the score
-    as ``SCORE_FORMAT % score``, one chunk of packed cells per write, each
-    line's fixed columns with their NULs dropped."""
+    as ``SCORE_FORMAT % score``, at most :data:`_CHUNK` lines per write,
+    each line's fixed columns with their NULs dropped."""
     ids = _id_text(m.n)
     start = 2 * ids.itemsize  # the score's first column in a line
     with open(path, "wb") as fh:
         fh.write(b"p,q,score\n")
-        for lo in range(0, m._scores.size, _CHUNK):
-            cells = lo + np.flatnonzero(m._exported(slice(lo, lo + _CHUNK)))
-            line = np.empty((cells.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
-            line[:, :start] = ids[m._pairs(cells)].view(np.uint8).reshape(cells.size, start)
-            _score_text(m._scores[cells], line[:, start:])
-            # a line is its bytes with every NUL dropped
-            fh.write(line[line != 0].tobytes())
+        r0 = 0
+        while r0 < m.n:
+            r1 = min(m.n, r0 + max(1, _SCAN // (m.n - r0)))
+            # the exported cells of rows r0:r1, p <= q, in row-major order
+            block = m._scores[r0:r1, r0:]  # (p, p) is on the block's diagonal
+            exported = block > 0.0
+            exported[:, :r1 - r0] = np.triu(exported[:, :r1 - r0])
+            scores = block[exported]
+            pairs = ids[np.column_stack(np.nonzero(exported)) + r0]
+            pairs = pairs.view(np.uint8).reshape(scores.size, start)
+            for lo in range(0, scores.size, _CHUNK):
+                chunk = scores[lo:lo + _CHUNK]
+                line = np.empty((chunk.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
+                line[:, :start] = pairs[lo:lo + _CHUNK]
+                _score_text(chunk, line[:, start:])
+                # a line is its bytes with every NUL dropped
+                fh.write(line[line != 0].tobytes())
+            r0 = r1
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -342,20 +342,22 @@ def compare_rows(m: SimilarityMatrix, rows: np.ndarray, source) -> tuple:
     p, q = rows["p"], rows["q"]
     outside = np.flatnonzero((p < 0) | (q < p) | (q >= m.n))
     end = outside[0] if outside.size else len(rows)
-    idx = m._idx(p[:end], q[:end])
-    # stable sort: of equal cells, every one after the first is a repeat
-    order = np.argsort(idx, kind="stable")
-    repeats = order[1:][idx[order[1:]] == idx[order[:-1]]]
-    i = repeats.min() if repeats.size else end  # the first bad row in file order
+    idx = p[:end] * m.n + q[:end]  # the pair's cell in the flat square
+    found = np.zeros(m.n * m.n, dtype=bool)
+    found[idx] = True
+    i = end  # the first bad row in file order
+    repeated = np.count_nonzero(found) < end
+    if repeated:
+        # stable sort: of equal cells, every one after the first is a repeat
+        order = np.argsort(idx, kind="stable")
+        i = order[1:][idx[order[1:]] == idx[order[:-1]]].min()
     if i < len(rows):
-        error = DataError(f"{source}: duplicate pair ({p[i]}, {q[i]})" if repeats.size else
+        error = DataError(f"{source}: duplicate pair ({p[i]}, {q[i]})" if repeated else
                           f"{source}: pair ({p[i]}, {q[i]}) out of range for n={m.n}")
         error.row = int(i)
         raise error
-    found = np.zeros_like(m._na)
-    found[idx] = True
-    scores = np.zeros_like(m._scores)
-    scores[idx] = rows["score"]
-    exported = m._exported()
-    return tuple(m._pairs(np.flatnonzero(cells)) for cells in (
-        exported & ~found, found & ~exported, exported & found & (scores != m._scores)))
+    exported = np.triu(m._scores > 0.0).ravel()
+    changed = np.zeros_like(found)
+    changed[idx] = rows["score"] != m._scores.ravel()[idx]
+    return tuple(np.column_stack(np.divmod(np.flatnonzero(cells), m.n)) for cells in (
+        exported & ~found, found & ~exported, exported & changed))

@@ -386,6 +386,15 @@ def test_trace_argument_validation(shared_graph):
     assert [pt.k for pt in points] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("measure", ["cocitation", "coupling", "amsler"])
+def test_trace_refuses_a_one_shot_config_before_building_the_mask(monkeypatch, measure):
+    calls = []
+    monkeypatch.setattr(evaluate, "na_mask", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match=f"^{measure} is not an iterative measure$"):
+        convergence_trace(fixtures.random_graph(50, 0.1, 1), MeasureConfig(measure))
+    assert calls == []
+
+
 # -- hard-pair case tables ---------------------------------------------------
 
 

@@ -59,6 +59,60 @@ def test_from_square_refuses_a_diagonal_na():
         SimilarityMatrix.from_square(np.eye(3), na=np.eye(3, dtype=bool))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1), (3, 4), (4, 4)], ids=str)
+def test_from_square_names_an_na_of_the_wrong_shape(shape):
+    # a (1, 3) mask would broadcast over the square's rows
+    with pytest.raises(ValueError) as err:
+        SimilarityMatrix.from_square(np.eye(3), na=np.zeros(shape, dtype=bool))
+    assert str(err.value) == f"N/A mask of shape {shape} for a 3x3 square"
+
+
+def test_from_square_copies_its_inputs():
+    square = np.eye(3)
+    square[0, 1] = square[1, 0] = 0.5
+    na = np.zeros((3, 3), dtype=bool)
+    na[0, 2] = na[2, 0] = True
+    m = SimilarityMatrix.from_square(square, na=na)
+    square[0, 1] = 0.9
+    na[0, 2] = False
+    assert m.get(0, 1) == 0.5 and m.is_na(0, 2)
+    m.set(1, 2, 0.25)
+    m.set_na(0, 1)
+    assert square[1, 2] == square[2, 1] == 0.0 and not na[0, 1] and not na[1, 0]
+
+
+def test_row_and_dense_views_are_copies():
+    m = SimilarityMatrix(3)
+    m.set(0, 1, 0.5)
+    m.set_na(0, 2)
+    before = SimilarityMatrix.from_square(m.dense_scores(), na=m.dense_na())
+    for view in (m.row_scores(0), m.row_scores(2), m.dense_scores()):
+        view[:] = 7.0
+    for view in (m.row_na(0), m.row_na(1), m.dense_na()):
+        view[:] = False
+    assert m.same_bits(before)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 1)])
+def test_set_and_set_na_are_seen_from_both_ends(p, q):
+    m = SimilarityMatrix(4)
+    m.set(p, q, 0.5)
+    assert m.get(1, 3) == m.get(3, 1) == 0.5
+    assert m.row_scores(1)[3] == m.row_scores(3)[1] == 0.5
+    scores = m.dense_scores()
+    assert scores[1, 3] == scores[3, 1] == 0.5
+    m.set_na(p, q)
+    assert m.is_na(1, 3) and m.is_na(3, 1)
+    assert m.get(1, 3) == m.get(3, 1) == 0.0
+    assert m.row_na(1)[3] and m.row_na(3)[1]
+    assert m.row_scores(1)[3] == m.row_scores(3)[1] == 0.0
+    na = m.dense_na()
+    assert na[1, 3] and na[3, 1] and na.sum() == 2 and m.na_count() == 1
+    m.set(q, p, 0.25)
+    assert not m.is_na(1, 3) and not m.is_na(3, 1) and m.na_count() == 0
+    assert m.get(1, 3) == m.get(3, 1) == 0.25
+
+
 def test_row_views_match_elementwise():
     rng = np.random.default_rng(1)
     a = rng.random((6, 6))

@@ -1,4 +1,4 @@
-"""Property-based checks of the packed score store against element-by-element
+"""Property-based checks of the square score store against element-by-element
 references: the CSV bytes and score text, the CSV check, the row views and
 the top_k rankings."""
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citesim import fixtures
+from citesim import fixtures, matrix
 from citesim.engine import MeasureConfig, compute, top_k
 from citesim.errors import DataError
 from citesim.matrix import (ROW_DTYPE, SCORE_FORMAT, SimilarityMatrix, compare_rows,
@@ -50,6 +50,22 @@ def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq):
         assert fh.read() == oracles.matrix_csv_reference(m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(squares(max_n=30), st.sampled_from([1, 5, 40, 200]), st.sampled_from([1, 3, 64]))
+def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path_factory, sq, scan, chunk):
+    # small row blocks and chunks: one-row blocks, wider than _SCAN, and
+    # chunks that split a block
+    square, na = sq
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    m = SimilarityMatrix.from_square(square, na=na)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "_SCAN", scan)
+        patch.setattr(matrix, "_CHUNK", chunk)
+        write_matrix_csv(m, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == oracles.matrix_csv_reference(m)
+
+
 def _float(bits):
     return float(np.uint64(bits).view(np.float64))
 
@@ -83,9 +99,9 @@ scores = (st.integers(min_value=1, max_value=0x7FF0000000000000).map(_float)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(scores, min_size=1, max_size=40))
 def test_written_score_text_is_the_score_format(tmp_path_factory, values):
-    m = SimilarityMatrix(9)  # 45 cells, filled from the first, the rest 0
-    m._scores[:] = 0.0
-    m._scores[:len(values)] = values
+    square = np.zeros((9, 9))  # 45 upper cells, filled row by row, the rest 0
+    square[tuple(i[:len(values)] for i in np.triu_indices(9))] = values
+    m = SimilarityMatrix.from_square(square)
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     write_matrix_csv(m, path)
     lines = path.read_bytes().decode().splitlines()[1:]

@@ -8,7 +8,8 @@ leaves no dead import behind.  No module calls numpy at import, apart from
 masks are built at first use.  For the same reason a fresh
 ``import citesim.cli`` loads neither ``citesim.fixtures`` nor
 ``numpy.random``.  The project's version in ``pyproject.toml`` is
-``citesim.__version__``.
+``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
+``_scores`` or ``_na`` store, so the store's layout is that module's alone.
 
 No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
 ``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
@@ -129,6 +130,15 @@ def test_no_product_calls_blas(name):
         dotted = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
         found += [(node.lineno, part) for path in dotted for part in path.split(".")
                   if part in BLAS_NAMES]
+    assert not found, (name, found)
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "matrix.py"])
+def test_only_the_matrix_module_reads_the_score_store(name):
+    # the store's layout is matrix.py's own: every other module goes
+    # through SimilarityMatrix's methods
+    found = [(node.lineno, node.attr) for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Attribute) and node.attr in ("_scores", "_na")]
     assert not found, (name, found)
 
 
