@@ -54,7 +54,8 @@ Every measure forms its scores row block by row block, with one guarded
 inverse, :func:`_invert`, and one Jaccard rule, :func:`_jaccard`.  A
 one-shot measure adds its terms into one square by :func:`_shared_counts`
 passes, then closes its row blocks as a recursion does.  The
-:class:`SimilarityMatrix` a run returns keeps its closed square, uncopied.
+:class:`SimilarityMatrix` a run returns keeps its closed square, uncopied
+and read-only.
 
 A run (one ``iteration_scores`` generator, or one call of a one-shot
 measure) opens at most one thread pool and shuts it down when it ends.
@@ -465,7 +466,7 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
             _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
     for r0, r1 in _row_blocks(g.n, False):
         _close_rows(scores, r0, r1)
-    return SimilarityMatrix._from_closed(scores, na_mask(g, cfg), 0, cfg.bounded)
+    return SimilarityMatrix(scores, na_mask(g, cfg), 0, cfg.bounded)
 
 
 def require_iterative(cfg: MeasureConfig):
@@ -707,7 +708,7 @@ def _run_iterations(g, cfg, threads):
                 break
     k_run = len(deltas)
     # N/A depends on the graph alone: built once the steps are done
-    m = SimilarityMatrix._from_closed(cur, na_mask(g, cfg), k_run, True)
+    m = SimilarityMatrix(cur, na_mask(g, cfg), k_run, True)
     return m, IterationReport(k_run, deltas[-1] < cfg.epsilon, tuple(deltas))
 
 
@@ -756,8 +757,7 @@ def converge(
     gives for cfg; only this entry point and :func:`compute` warn that C=1
     gives no decay.
     """
-    if not cfg.iterative:
-        raise ConfigError(f"{cfg.measure} does not iterate; call compute instead")
+    require_iterative(cfg)
     _warn_if_no_decay(cfg)
     return _run_iterations(g, cfg, threads)
 

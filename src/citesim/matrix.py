@@ -9,9 +9,10 @@ Storage is the closed n x n square itself: a float64 array of scores and a
 bool array of N/A flags, 9 n^2 bytes resident, twice the 4.5 n^2 of a
 packed upper triangle.  In return no copy is made: every measure builds its
 scores in such a square, 1.0 on the diagonal and the lower triangle copied
-onto the upper one, and the store keeps that square.  Every write goes to
-both (p, q) and (q, p), so the two triangles always agree, and row p of the
-square is every score against p.
+onto the upper one, and the store keeps that square.  The store is made
+once and never written after: both arrays are read-only, row p of the
+square is every score against p, and the row and dense views hand out the
+store's own rows, uncopied.
 
 The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``),
 but :func:`write_matrix_csv` scans the upper triangle in row blocks of
@@ -32,6 +33,7 @@ NUL dropped.  The temporaries peak at about 3 MB while n is at most
 from __future__ import annotations
 
 import csv
+import operator
 from itertools import repeat
 from typing import Iterator, Optional
 
@@ -56,100 +58,85 @@ _SCORE_WIDTH = 23
 class SimilarityMatrix:
     """Symmetric (p, q) -> score map over n nodes at iteration index k.
 
+    It keeps ``scores``, a closed n x n float64 square, and ``na``, its bool
+    N/A mask of the same shape, without copying either: N/A cells of
+    ``scores`` are set to +0.0 in place, then both arrays are made
+    read-only.  The diagonal is never N/A.  :meth:`from_square` builds one
+    from any square-shaped input, leaving that input as it was.
+
     ``bounded`` records which score contract is active: True means every
     non-N/A score lies in [0, 1]; raw-count measures set it False.
     """
 
-    def __init__(self, n: int, k: int = 0, bounded: bool = True):
-        if n < 0:
-            raise ValueError("node count must be non-negative")
-        self.n = n
+    def __init__(self, scores: np.ndarray, na: np.ndarray, k: int = 0, bounded: bool = True):
+        if not (scores.ndim == 2 and scores.shape == na.shape == scores.shape[::-1]
+                and (scores.dtype, na.dtype) == (np.float64, np.bool_)):
+            raise ValueError(f"a float64 square and a bool mask of its shape required, "
+                             f"got {scores.dtype} {scores.shape} and {na.dtype} {na.shape}")
+        if na.diagonal().any():
+            raise ValueError("the diagonal is never N/A")
+        np.copyto(scores, 0.0, where=na)
+        scores.flags.writeable = na.flags.writeable = False
+        self.n = len(scores)
         self.k = k
         self.bounded = bounded
-        self._scores = np.eye(n)
-        self._na = np.zeros((n, n), dtype=bool)
-
-    @classmethod
-    def _from_closed(cls, square: np.ndarray, na: np.ndarray, k: int,
-                     bounded: bool) -> "SimilarityMatrix":
-        # keeps a symmetric float64 square and its symmetric N/A mask, both
-        # n x n and C-contiguous, without copying them; N/A cells are set to
-        # +0.0 in place.  cls(0) allocates no square to be replaced.
-        m = cls(0, k=k, bounded=bounded)
-        m.n = square.shape[0]
-        np.copyto(square, 0.0, where=na)
-        m._scores, m._na = square, na
-        return m
+        self._scores, self._na = scores, na
 
     @classmethod
     def from_square(cls, square: np.ndarray, na: Optional[np.ndarray] = None,
                     k: int = 0, bounded: bool = True) -> "SimilarityMatrix":
-        """Store a copy of a full square score array (and optional N/A mask).
+        """Store a copy of a square score array (and optional N/A mask).
 
-        The matrix holds both as n x n squares, 9 n^2 bytes.  Only the upper
-        triangle including the diagonal is read, so the lower triangle need
-        not be filled or symmetrized: the copy's is filled from the upper
-        one.  ``na`` must have the square's shape.  N/A pairs store +0.0,
-        whatever the square holds there; the diagonal is never N/A.
+        Both are read through ``np.asarray``, so nested lists are read as
+        arrays.  Only the upper triangle including the diagonal is read, so
+        the lower triangle need not be filled or symmetrized: the copy's is
+        filled from the upper one.  ``na`` must have the square's shape.  N/A
+        pairs store +0.0, whatever the square holds there; the diagonal is
+        never N/A.
         """
-        n = square.shape[0]
-        if square.shape != (n, n):
+        square = np.asarray(square)
+        if square.ndim != 2 or square.shape != square.shape[::-1]:
             raise ValueError("square score array required")
-        if na is not None and np.shape(na) != (n, n):
-            raise ValueError(f"N/A mask of shape {np.shape(na)} for a {n}x{n} square")
-        if na is not None and na.diagonal().any():
-            raise ValueError("the diagonal is never N/A")
-        lower = np.tri(n, dtype=bool)
-        na = np.zeros((n, n), dtype=bool) if na is None else np.where(lower, na.T, na)
-        return cls._from_closed(np.where(lower, square.T, square).astype(float, copy=False),
-                                na.astype(bool, copy=False), k, bounded)
+        na = np.zeros(square.shape, dtype=bool) if na is None else np.asarray(na)
+        if na.shape != square.shape:
+            raise ValueError(f"N/A mask of shape {na.shape} for a {len(square)}x{len(square)} square")
+        lower = np.tri(len(square), dtype=bool)
+        return cls(np.where(lower, square.T, square).astype(float, copy=False),
+                   np.where(lower, na.T, na).astype(bool, copy=False), k, bounded)
 
-    def _cell(self, p: int, q: int) -> tuple:
-        if not (0 <= p < self.n and 0 <= q < self.n):
-            raise ValueError(f"pair ({p}, {q}) out of range [0, {self.n})")
-        return p, q
+    def _row(self, p: int) -> int:
+        # operator.index: a float is no paper id, and a bool reads as 0 or 1,
+        # where numpy would take it for a mask
+        p = operator.index(p)
+        if not 0 <= p < self.n:
+            raise ValueError(f"paper id {p} out of range [0, {self.n})")
+        return p
 
     # -- element access ----------------------------------------------------
 
     def get(self, p: int, q: int) -> float:
         """Score for the unordered pair; N/A pairs read as 0.0."""
-        return float(self._scores[self._cell(p, q)])
+        return float(self._scores[self._row(p), self._row(q)])
 
     def is_na(self, p: int, q: int) -> bool:
-        return bool(self._na[self._cell(p, q)])
+        return bool(self._na[self._row(p), self._row(q)])
 
-    def set(self, p: int, q: int, value: float):
-        i = self._cell(p, q)
-        self._scores[i] = self._scores[i[::-1]] = value
-        self._na[i] = self._na[i[::-1]] = False
-
-    def set_na(self, p: int, q: int):
-        i = self._cell(p, q)
-        if p == q:
-            raise ValueError("the diagonal is never N/A")
-        self._na[i] = self._na[i[::-1]] = True
-        self._scores[i] = self._scores[i[::-1]] = 0.0
-
-    # -- bulk views (copies) -------------------------------------------------
-
-    def _row(self, p: int) -> int:
-        if not 0 <= p < self.n:
-            raise ValueError(f"paper id {p} out of range [0, {self.n})")
-        return p
+    # -- bulk views (read-only rows of the store) --------------------------
 
     def row_scores(self, p: int) -> np.ndarray:
-        """All scores against p as a length-n array (N/A entries read 0.0)."""
-        return self._scores[self._row(p)].copy()
+        """All scores against p as a read-only length-n row of the store (N/A
+        entries read 0.0)."""
+        return self._scores[self._row(p)]
 
     def row_na(self, p: int) -> np.ndarray:
-        return self._na[self._row(p)].copy()
+        return self._na[self._row(p)]
 
     def dense_scores(self) -> np.ndarray:
-        """Full square score array; intended for desk-scale n."""
-        return self._scores.copy()
+        """The store's full square score array, read-only."""
+        return self._scores
 
     def dense_na(self) -> np.ndarray:
-        return self._na.copy()
+        return self._na
 
     def offdiag_packed(self) -> tuple[np.ndarray, np.ndarray]:
         """(scores, na) over the n·(n-1)/2 unordered off-diagonal pairs,

@@ -147,6 +147,13 @@ def test_measure_config_mismatch_rejected(shared_graph):
         converge(shared_graph, MeasureConfig("cocitation"))
 
 
+@pytest.mark.parametrize("measure", ["cocitation", "coupling", "amsler"])
+def test_converge_refuses_a_one_shot_config_as_every_entry_point_does(shared_graph, measure):
+    # the refusal is require_iterative's, word for word
+    with pytest.raises(ConfigError, match=f"^{measure} is not an iterative measure$"):
+        converge(shared_graph, MeasureConfig(measure))
+
+
 # -- iterative measures ------------------------------------------------------
 
 
@@ -368,12 +375,12 @@ def test_na_matrix_entries_flagged(gap_graph, gap_ids):
 
 
 def _toy_matrix():
-    m = SimilarityMatrix(5)
-    m.set(0, 1, 0.9)
-    m.set(0, 2, 0.5)
+    square = np.eye(5)
+    square[0, 1:3] = 0.9, 0.5
+    na = np.zeros((5, 5), dtype=bool)
     # (0, 3) stays 0.0; (0, 4) is unmeasurable
-    m.set_na(0, 4)
-    return m
+    na[0, 4] = True
+    return SimilarityMatrix.from_square(square, na=na)
 
 
 def test_top_k_ordering_and_fill():
@@ -390,9 +397,9 @@ def test_top_k_ordering_and_fill():
 
 
 def test_top_k_breaks_ties_by_ascending_id():
-    m = SimilarityMatrix(5)
-    for q in (1, 2, 3, 4):
-        m.set(0, q, 0.5)
+    square = np.eye(5)
+    square[0, 1:] = 0.5
+    m = SimilarityMatrix.from_square(square)
     assert [e.paper for e in top_k(m, 0, 3)] == [1, 2, 3]
 
 

@@ -154,13 +154,10 @@ def test_load_corpus_matches_the_two_pass_reference(tmp_path_factory, shared_gra
 # -- precision ---------------------------------------------------------------
 
 
-def _precision_fixture():
-    m = SimilarityMatrix(5)
-    m.set(0, 1, 0.9)
-    m.set(0, 2, 0.5)
-    m.set(0, 3, 0.4)
-    m.set(0, 4, 0.3)
-    return m
+def _precision_fixture(na=None):
+    square = np.eye(5)
+    square[0, 1:] = 0.9, 0.5, 0.4, 0.3
+    return SimilarityMatrix.from_square(square, na=na)
 
 
 def test_precision_counts_reference_hits():
@@ -176,17 +173,16 @@ def test_precision_requires_query_membership():
 
 
 def test_precision_short_candidate_list_still_divides_by_m():
-    m = SimilarityMatrix(3)
-    m.set(0, 1, 0.5)
-    m.set(0, 2, 0.4)
+    m = SimilarityMatrix.from_square([[1.0, 0.5, 0.4], [0.5, 1.0, 0.0], [0.4, 0.0, 1.0]])
     assert precision_at_m(m, 0, {0, 1, 2}, 10) == pytest.approx(0.2)
 
 
 def test_precision_ignores_zero_and_na_scores():
-    m = SimilarityMatrix(4)  # all off-diagonal scores are 0.0
+    m = SimilarityMatrix.from_square(np.eye(4))  # all off-diagonal scores are 0.0
     assert precision_at_m(m, 0, {0, 1, 2, 3}, 3) == 0.0
-    m = _precision_fixture()
-    m.set_na(0, 1)
+    na = np.zeros((5, 5), dtype=bool)
+    na[0, 1] = True
+    m = _precision_fixture(na)
     assert precision_at_m(m, 0, {0, 1}, 1) == 0.0
 
 
@@ -279,22 +275,19 @@ def test_benchmark_ranks_each_query_once_per_measure(monkeypatch):
 
 
 def test_histogram_buckets_and_na():
-    m = SimilarityMatrix(4)
-    h = score_histogram(m)
+    h = score_histogram(SimilarityMatrix.from_square(np.eye(4)))
     assert h.buckets == (6, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     assert h.na == 0 and h.total_pairs == 6
-    m.set_na(0, 1)
-    h = score_histogram(m)
+    na = np.zeros((4, 4), dtype=bool)
+    na[0, 1] = True
+    h = score_histogram(SimilarityMatrix.from_square(np.eye(4), na=na))
     assert h.buckets[0] == 5 and h.na == 1
 
 
 def test_histogram_boundary_scores():
-    m = SimilarityMatrix(5)
-    m.set(0, 1, 0.1)
-    m.set(0, 2, 0.9)
-    m.set(0, 3, 1.0)
-    m.set(0, 4, 0.0999)
-    h = score_histogram(m)
+    square = np.eye(5)
+    square[0, 1:] = 0.1, 0.9, 1.0, 0.0999
+    h = score_histogram(SimilarityMatrix.from_square(square))
     assert h.buckets[0] == 7  # six untouched zeros plus 0.0999
     assert h.buckets[1] == 1
     assert h.buckets[9] == 2  # 0.9 and the closed upper endpoint 1.0
@@ -476,7 +469,7 @@ def test_precision_csv(tmp_path):
 
 
 def test_histogram_csv(tmp_path):
-    h = score_histogram(SimilarityMatrix(4))
+    h = score_histogram(SimilarityMatrix.from_square(np.eye(4)))
     path = tmp_path / "hist.csv"
     write_histogram_csv(h, path)
     lines = path.read_text().splitlines()
@@ -515,9 +508,9 @@ def test_result_files_have_pinned_bytes(tmp_path):
     meta = [PaperMeta("a", "Links, and ranks", 1999), PaperMeta("b", 'Say "hi"'),
             PaperMeta("c", "", 2001)]
     g = CitationGraph.from_edges(3, [(0, 1), (2, 1)], meta)
-    mat = SimilarityMatrix(3)
-    mat.set(0, 1, 0.5)
-    mat.set_na(1, 2)
+    mat = SimilarityMatrix.from_square([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                       na=[[False, False, False], [False, False, True],
+                                           [False, True, False]])
     writes = {
         "meta.csv": lambda path: fixtures.write_meta_file(g, path),
         "precision.csv": lambda path: write_precision_csv(PrecisionTable(

@@ -6,15 +6,15 @@ from citesim.matrix import SimilarityMatrix, read_matrix_csv, write_matrix_csv
 
 
 def test_single_cell_symmetry():
-    m = SimilarityMatrix(6)
-    m.set(2, 5, 0.25)
-    assert m.get(5, 2) == 0.25
-    m.set(5, 2, 0.5)
-    assert m.get(2, 5) == 0.5
+    square = np.eye(6)
+    square[2, 5] = 0.25
+    assert SimilarityMatrix.from_square(square).get(5, 2) == 0.25
+    square[2, 5] = square[5, 2] = 0.5
+    assert SimilarityMatrix.from_square(square).get(2, 5) == 0.5
 
 
 def test_diagonal_defaults_to_one():
-    m = SimilarityMatrix(4)
+    m = SimilarityMatrix.from_square(np.eye(4))
     assert all(m.get(p, p) == 1.0 for p in range(4))
     assert m.get(0, 1) == 0.0
 
@@ -31,23 +31,14 @@ def test_from_square_round_trip():
 
 
 def test_na_reads_zero_but_is_flagged():
-    m = SimilarityMatrix(4)
-    m.set(0, 1, 0.7)
-    m.set_na(0, 1)
+    square = np.eye(4)
+    square[0, 1] = 0.7
+    na = np.zeros((4, 4), dtype=bool)
+    na[0, 1] = True
+    m = SimilarityMatrix.from_square(square, na=na)
     assert m.get(0, 1) == 0.0
     assert m.is_na(1, 0)
     assert m.na_count() == 1
-    m.set(0, 1, 0.2)  # writing a value clears the flag
-    assert not m.is_na(0, 1)
-    assert m.na_count() == 0
-
-
-def test_set_na_refuses_the_diagonal():
-    m = SimilarityMatrix(3)
-    with pytest.raises(ValueError, match="the diagonal is never N/A"):
-        m.set_na(1, 1)
-    assert m.get(1, 1) == 1.0 and not m.is_na(1, 1)
-    assert m.same_bits(SimilarityMatrix(3))
 
 
 def test_from_square_refuses_a_diagonal_na():
@@ -59,12 +50,14 @@ def test_from_square_refuses_a_diagonal_na():
         SimilarityMatrix.from_square(np.eye(3), na=np.eye(3, dtype=bool))
 
 
-@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1), (3, 4), (4, 4)], ids=str)
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1), (3, 4), (4, 4), ()], ids=str)
 def test_from_square_names_an_na_of_the_wrong_shape(shape):
-    # a (1, 3) mask would broadcast over the square's rows
-    with pytest.raises(ValueError) as err:
-        SimilarityMatrix.from_square(np.eye(3), na=np.zeros(shape, dtype=bool))
-    assert str(err.value) == f"N/A mask of shape {shape} for a 3x3 square"
+    # a (1, 3) mask would broadcast over the square's rows; a list is read
+    # as the array it holds
+    for na in (np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool).tolist()):
+        with pytest.raises(ValueError) as err:
+            SimilarityMatrix.from_square(np.eye(3), na=na)
+        assert str(err.value) == f"N/A mask of shape {shape} for a 3x3 square"
 
 
 def test_from_square_copies_its_inputs():
@@ -76,41 +69,44 @@ def test_from_square_copies_its_inputs():
     square[0, 1] = 0.9
     na[0, 2] = False
     assert m.get(0, 1) == 0.5 and m.is_na(0, 2)
-    m.set(1, 2, 0.25)
-    m.set_na(0, 1)
-    assert square[1, 2] == square[2, 1] == 0.0 and not na[0, 1] and not na[1, 0]
 
 
-def test_row_and_dense_views_are_copies():
-    m = SimilarityMatrix(3)
-    m.set(0, 1, 0.5)
-    m.set_na(0, 2)
+def test_the_constructor_keeps_its_arrays_and_makes_them_read_only():
+    square = np.eye(3)
+    square[0, 2] = square[2, 0] = 0.5
+    na = np.zeros((3, 3), dtype=bool)
+    na[0, 2] = na[2, 0] = True
+    m = SimilarityMatrix(square, na, k=4, bounded=False)
+    assert (m.n, m.k, m.bounded) == (3, 4, False)
+    assert m.dense_scores() is square and m.dense_na() is na
+    assert square[0, 2] == square[2, 0] == 0.0  # N/A cells zeroed in place
+    assert not square.flags.writeable and not na.flags.writeable
+    for scores, flags in [(np.eye(3, dtype=np.float32), np.zeros((3, 3), dtype=bool)),
+                          (np.eye(3), np.zeros((3, 3))), (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool)),
+                          (np.eye(3), np.zeros((3, 2), dtype=bool)), (np.zeros(3), np.zeros(3, dtype=bool))]:
+        with pytest.raises(ValueError, match="float64 square and a bool mask of its shape"):
+            SimilarityMatrix(scores, flags)
+    with pytest.raises(ValueError, match="the diagonal is never N/A"):
+        SimilarityMatrix(np.eye(3), np.eye(3, dtype=bool))
+
+
+def test_row_and_dense_views_are_read_only_rows_of_the_store():
+    square = np.eye(3)
+    square[0, 1] = 0.5
+    na = np.zeros((3, 3), dtype=bool)
+    na[0, 2] = True
+    m = SimilarityMatrix.from_square(square, na=na)
     before = SimilarityMatrix.from_square(m.dense_scores(), na=m.dense_na())
-    for view in (m.row_scores(0), m.row_scores(2), m.dense_scores()):
-        view[:] = 7.0
-    for view in (m.row_na(0), m.row_na(1), m.dense_na()):
-        view[:] = False
+    scores, flags = m.dense_scores(), m.dense_na()
+    assert scores is m.dense_scores() and flags is m.dense_na()
+    for row, dense in [(m.row_scores(p), scores) for p in range(3)] + [
+            (m.row_na(p), flags) for p in range(3)]:
+        assert np.shares_memory(row, dense)
+    for view in [m.row_scores(0), m.row_na(2), scores, flags]:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[:] = 0
     assert m.same_bits(before)
-
-
-@pytest.mark.parametrize("p, q", [(1, 3), (3, 1)])
-def test_set_and_set_na_are_seen_from_both_ends(p, q):
-    m = SimilarityMatrix(4)
-    m.set(p, q, 0.5)
-    assert m.get(1, 3) == m.get(3, 1) == 0.5
-    assert m.row_scores(1)[3] == m.row_scores(3)[1] == 0.5
-    scores = m.dense_scores()
-    assert scores[1, 3] == scores[3, 1] == 0.5
-    m.set_na(p, q)
-    assert m.is_na(1, 3) and m.is_na(3, 1)
-    assert m.get(1, 3) == m.get(3, 1) == 0.0
-    assert m.row_na(1)[3] and m.row_na(3)[1]
-    assert m.row_scores(1)[3] == m.row_scores(3)[1] == 0.0
-    na = m.dense_na()
-    assert na[1, 3] and na[3, 1] and na.sum() == 2 and m.na_count() == 1
-    m.set(q, p, 0.25)
-    assert not m.is_na(1, 3) and not m.is_na(3, 1) and m.na_count() == 0
-    assert m.get(1, 3) == m.get(3, 1) == 0.25
 
 
 def test_row_views_match_elementwise():
@@ -130,9 +126,11 @@ def test_row_views_match_elementwise():
 
 
 def test_offdiag_packed_shape_and_content():
-    m = SimilarityMatrix(5)
-    m.set(0, 3, 0.4)
-    m.set_na(2, 4)
+    square = np.eye(5)
+    square[0, 3] = 0.4
+    na = np.zeros((5, 5), dtype=bool)
+    na[2, 4] = True
+    m = SimilarityMatrix.from_square(square, na=na)
     scores, na = m.offdiag_packed()
     assert scores.shape == (10,)
     assert na.sum() == 1
@@ -141,10 +139,11 @@ def test_offdiag_packed_shape_and_content():
 
 
 def test_entries_above_skips_na_and_zero():
-    m = SimilarityMatrix(4)
-    m.set(0, 1, 0.5)
-    m.set(0, 2, 0.05)
-    m.set_na(1, 2)
+    square = np.eye(4)
+    square[0, 1:3] = 0.5, 0.05
+    na = np.zeros((4, 4), dtype=bool)
+    na[1, 2] = True
+    m = SimilarityMatrix.from_square(square, na=na)
     rows = list(m.entries_above())
     # four diagonal ones plus the two positive pairs; zeros and N/A skipped
     assert (0, 1, 0.5) in rows
@@ -155,59 +154,68 @@ def test_entries_above_skips_na_and_zero():
 
 
 def test_out_of_range_pairs_rejected():
-    m = SimilarityMatrix(3)
+    m = SimilarityMatrix.from_square(np.eye(3))
     with pytest.raises(ValueError):
         m.get(0, 3)
-    with pytest.raises(ValueError):
-        m.set(-1, 0, 0.5)
     with pytest.raises(ValueError):
         m.row_scores(3)
     with pytest.raises(ValueError, match=r"paper id 3 out of range \[0, 3\)"):
         m.row_na(3)
-    with pytest.raises(ValueError):
-        SimilarityMatrix(-1)
+
+
+@pytest.mark.parametrize("paper", [0.0, 1.0, np.float64(1), "1", None], ids=repr)
+def test_paper_ids_must_be_integers(paper):
+    # a float or a string is no id; an integer of any type is one, a bool too
+    m = SimilarityMatrix.from_square(np.eye(3))
+    for call in (lambda p: m.get(p, 1), lambda p: m.is_na(1, p), m.row_scores, m.row_na):
+        with pytest.raises(TypeError):
+            call(paper)
+        assert np.array_equal(call(np.int64(1)), call(1))
+        assert np.array_equal(call(True), call(1))
 
 
 def test_from_square_requires_a_square():
-    with pytest.raises(ValueError, match="square score array required"):
-        SimilarityMatrix.from_square(np.zeros((2, 3)))
+    for square in (np.zeros((2, 3)), np.float64(1.0), 1.0, np.zeros(3), np.zeros((2, 2, 2)),
+                   [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="square score array required"):
+            SimilarityMatrix.from_square(square)
+
+
+def test_from_square_reads_lists_as_arrays():
+    square = [[1.0, 0.5, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    na = [[False, False, False], [False, False, True], [False, False, False]]
+    m = SimilarityMatrix.from_square(square, na=na)
+    assert m.same_bits(SimilarityMatrix.from_square(np.array(square), na=np.array(na)))
+    assert m.get(2, 0) == 0.25 and m.is_na(2, 1) and m.na_count() == 1
 
 
 def test_from_square_stores_plus_zero_at_na_pairs():
     square = np.array([[1.0, 0.7, -0.0], [0.7, 1.0, -0.0], [-0.0, -0.0, 1.0]])
     na = np.zeros((3, 3), dtype=bool)
     na[0, 1] = na[0, 2] = True
-    ref = SimilarityMatrix(3)
-    ref.set_na(0, 1)
-    ref.set_na(0, 2)
-    ref.set(1, 2, -0.0)
+    plain = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -0.0], [0.0, -0.0, 1.0]])
+    ref = SimilarityMatrix.from_square(plain, na=na | na.T)
     assert SimilarityMatrix.from_square(square, na=na).same_bits(ref)
 
 
 def test_same_bits_detects_single_ulp():
-    m1 = SimilarityMatrix(4)
-    m2 = SimilarityMatrix(4)
-    m1.set(0, 1, 0.1)
-    m2.set(0, 1, 0.1)
-    assert m1.same_bits(m2)
-    m2.set(0, 1, np.nextafter(0.1, 1.0))
-    assert not m1.same_bits(m2)
+    def one(score):
+        square = np.eye(4)
+        square[0, 1] = square[1, 0] = score
+        return SimilarityMatrix.from_square(square)
+
+    assert one(0.1).same_bits(one(0.1))
+    assert not one(0.1).same_bits(one(np.nextafter(0.1, 1.0)))
     # bits, not values: a signed zero differs, a NaN matches itself
-    m1.set(0, 1, 0.0)
-    m2.set(0, 1, -0.0)
-    assert not m1.same_bits(m2)
-    m1.set(0, 1, np.nan)
-    m2.set(0, 1, np.nan)
-    assert m1.same_bits(m2)
+    assert not one(0.0).same_bits(one(-0.0))
+    assert one(np.nan).same_bits(one(np.nan))
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    m = SimilarityMatrix(4)
     awkward = [1 / 3, 0.1, 5.551115123125783e-17, 0.7000000000000001]
-    m.set(0, 1, awkward[0])
-    m.set(0, 2, awkward[1])
-    m.set(1, 2, awkward[2])
-    m.set(2, 3, awkward[3])
+    square = np.eye(4)
+    square[[0, 0, 1, 2], [1, 2, 2, 3]] = awkward
+    m = SimilarityMatrix.from_square(square)
     path = tmp_path / "m.csv"
     write_matrix_csv(m, path)
     rows = {(p, q): s for p, q, s in read_matrix_csv(path)}
@@ -220,8 +228,9 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 
 def test_csv_skips_na_and_zero(tmp_path):
-    m = SimilarityMatrix(3)
-    m.set_na(0, 2)
+    na = np.zeros((3, 3), dtype=bool)
+    na[0, 2] = True
+    m = SimilarityMatrix.from_square(np.eye(3), na=na)
     path = tmp_path / "m.csv"
     write_matrix_csv(m, path)
     pairs = {(p, q) for p, q, _ in read_matrix_csv(path)}

@@ -127,14 +127,23 @@ def test_csv_write_peak_memory_in_squares(tmp_path):
        st.booleans(), st.data())
 def test_row_views_and_top_k_match_elementwise_references(sq, count, zero_fill, data):
     square, na = sq
+    inputs = square.copy(), na.copy()
     m = SimilarityMatrix.from_square(square, na=na)
+    # from_square copies: its inputs stay as they were, and writeable
+    assert np.array_equal(square, inputs[0]) and np.array_equal(na, inputs[1])
+    assert square.flags.writeable and na.flags.writeable
     assert np.array_equal(m.dense_na(), na)
     assert np.array_equal(m.dense_scores(), np.where(na, 0.0, square))
     assert m.na_count() == np.count_nonzero(np.triu(na, 1))
+    dense = m.dense_scores(), m.dense_na()
+    assert not any(a.flags.writeable for a in dense)
     for p in range(m.n):
         scores, flags = m.row_scores(p), m.row_na(p)
         assert scores.tolist() == [m.get(p, q) for q in range(m.n)]
         assert flags.tolist() == [m.is_na(p, q) for q in range(m.n)]
+        # read-only rows of the store, not copies
+        assert not scores.flags.writeable and not flags.flags.writeable
+        assert np.shares_memory(scores, dense[0]) and np.shares_memory(flags, dense[1])
     if m.n:
         query = data.draw(st.integers(min_value=0, max_value=m.n - 1))
         got = [(e.paper, e.score, e.zero_fill) for e in top_k(m, query, count, zero_fill)]

@@ -9,7 +9,9 @@ masks are built at first use.  For the same reason a fresh
 ``import citesim.cli`` loads neither ``citesim.fixtures`` nor
 ``numpy.random``.  The project's version in ``pyproject.toml`` is
 ``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
-``_scores`` or ``_na`` store, so the store's layout is that module's alone.
+``_scores`` or ``_na`` store, so the store's layout is that module's alone,
+and only ``SimilarityMatrix.__init__`` assigns to the store, one of its
+cells or one of its attributes, so a matrix is made once and never written.
 
 No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
 ``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
@@ -133,13 +135,38 @@ def test_no_product_calls_blas(name):
     assert not found, (name, found)
 
 
-@pytest.mark.parametrize("name", [name for name in MODULES if name != "matrix.py"])
+STORE = ("_scores", "_na")
+
+
+def _writes_the_store(target):
+    """Whether an assignment target is a store attribute, or a subscript or
+    an attribute of one (``m._scores[i]``, ``m._na.flags.writeable``)."""
+    while isinstance(target, (ast.Attribute, ast.Subscript, ast.Starred)):
+        if isinstance(target, ast.Attribute) and target.attr in STORE:
+            return True
+        target = target.value
+    return False
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_only_the_matrix_module_reads_the_score_store(name):
     # the store's layout is matrix.py's own: every other module goes
     # through SimilarityMatrix's methods
-    found = [(node.lineno, node.attr) for node in ast.walk(_tree(name))
-             if isinstance(node, ast.Attribute) and node.attr in ("_scores", "_na")]
-    assert not found, (name, found)
+    tree = _tree(name)
+    if name != "matrix.py":
+        found = [(node.lineno, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in STORE]
+        assert not found, (name, found)
+    # and the store is made once: only SimilarityMatrix.__init__ assigns to it
+    init = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            and cls.name == "SimilarityMatrix" for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__" for node in ast.walk(fn)}
+    writes = [(node.lineno, ast.unparse(target)) for node in ast.walk(tree)
+              if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and id(node) not in init
+              for whole in getattr(node, "targets", [getattr(node, "target", None)])
+              for target in (whole.elts if isinstance(whole, (ast.Tuple, ast.List)) else [whole])
+              if _writes_the_store(target)]
+    assert not writes, (name, writes)
 
 
 def test_the_package_version_is_the_project_version():
