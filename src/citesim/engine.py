@@ -83,7 +83,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from math import isqrt
-from operator import iand
+from operator import iand, index
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -798,6 +798,7 @@ def top_k(
     when fewer than ``count`` positive partners exist, and only if
     ``zero_fill`` is on.
     """
+    count = index(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     scores = m.row_scores(query)

@@ -8,6 +8,7 @@ top-score traces, and a score table for hand-tagged hard pairs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -117,7 +118,7 @@ def run_benchmark(
     matrix is alive at a time, so the run peaks where its costliest
     measure's :func:`compute` does."""
     configs = list(configs)
-    m_values = [int(m) for m in m_values]
+    m_values = [operator.index(m) for m in m_values]
     labels = [cfg.label() for cfg in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate measure labels in benchmark configs")

@@ -6,8 +6,6 @@ tiny enough to verify by hand.
 """
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from .graph import CitationGraph, PaperMeta, csr_rows, load_graph
@@ -99,12 +97,18 @@ def _draw_graph(n: int, seed: int, rows) -> CitationGraph:
     stream position that a row-major draw of every (u, v) in turn, one
     scalar or one whole square at a time, gives it: the graphs equal those
     of such per-pair draws, and no n×n array or per-pair loop is needed.
+
+    Each row's cited ids ascend and its ``p`` is 0 at u or ends before u,
+    so the keys ``u * n + v`` ascend row after row and are distinct, in
+    range and loop-free by construction.  They go straight to the
+    :class:`CitationGraph` constructor: no per-edge tuple, and no second
+    check through :meth:`~CitationGraph.from_edges`.
     """
     rng = np.random.default_rng(seed)
-    edges = []
-    for u, p in enumerate(rows):
-        edges += zip(repeat(u), (rng.random(p.shape[0]) < p).nonzero()[0].tolist())
-    return CitationGraph.from_edges(n, edges)
+    cited = [np.flatnonzero(rng.random(p.shape[0]) < p) for p in rows]
+    offsets = np.repeat(np.arange(n) * n, [c.shape[0] for c in cited])  # u * n per edge
+    # np.concatenate needs one array even when there are no rows (n = 0)
+    return CitationGraph(n, np.concatenate([offsets[:0], *cited]) + offsets)
 
 
 def random_graph(n: int, density: float, seed: int) -> CitationGraph:

@@ -8,6 +8,16 @@ consumes one of three neighbor views of a paper ``p``:
 * ``out``         -- O(p), the papers p cites
 * ``undirected``  -- L(p) = I(p) | O(p), direction discarded
 
+A graph reaches :class:`CitationGraph` by one of three roads: an edge
+stream through :func:`load_graph`, a caller's integer pairs through
+:meth:`CitationGraph.from_edges`, or the seeded generators of
+:mod:`citesim.fixtures`, which hand the constructor the edge keys they
+draw.  The constructor holds the rules all three share (a count that is not
+negative, one metadata record per paper, unique external ids); each road
+checks only what its own input can break.  :func:`paper_id` is the one rule
+for a paper id given to a method: an integer (``operator.index``) in
+[0, n).
+
 A graph stores each view once, as read-only CSR rows ``(indptr, indices)``
 with every row in ascending order, built with numpy from the edges' ids:
 about 32 bytes per edge for the three views.  No edge is ever held as a
@@ -19,6 +29,7 @@ they read, and nothing caches them; the engine reads only :meth:`csr`.
 from __future__ import annotations
 
 import csv
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -88,6 +99,16 @@ def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def paper_id(p, n: int) -> PaperId:
+    """``p`` as a paper id of a graph of ``n`` papers.  It is read through
+    ``operator.index``, so a float or a string raises TypeError and a bool
+    reads as 0 or 1; an integer outside [0, n) raises ValueError."""
+    p = operator.index(p)
+    if not 0 <= p < n:
+        raise ValueError(f"paper id {p} out of range [0, {n})")
+    return p
+
+
 def csr_rows(op) -> np.ndarray:
     """The row of each entry of CSR rows ``op = (indptr, indices)``, in
     storage order: with ``op[1]``, the coordinates of every nonzero."""
@@ -98,18 +119,30 @@ class CitationGraph:
     """Immutable directed citation graph with its three CSR neighbor views.
 
     Construct through :func:`load_graph` (external-id streams) or
-    :meth:`from_edges` (already-dense integer ids).  Instances never change
-    after construction, so all read methods are safe for concurrent use.
+    :meth:`from_edges` (already-dense integer ids), or directly from edge
+    keys that are valid by construction, as the seeded generators do.
+    Instances never change after construction, so all read methods are
+    safe for concurrent use.
     """
 
-    def __init__(self, n: int, edge_keys: np.ndarray, meta: tuple, ext_to_id=None):
+    def __init__(self, n: int, edge_keys: np.ndarray,
+                 meta: Optional[Sequence[PaperMeta]] = None, ext_to_id=None):
         """``edge_keys`` holds each edge (u, v) once, as ``u * n + v`` in
-        ascending order; ``ext_to_id`` maps each external id to its paper
-        id, and is built from ``meta`` when not given."""
+        ascending order, with u != v and both in [0, n); the caller
+        guarantees this, and nothing here checks it.  ``meta`` holds one
+        record per paper; when it is None, paper p is named ``str(p)``.
+        ``ext_to_id`` maps each external id to its paper id, and is built
+        from ``meta`` when not given.  A negative ``n`` raises ValueError; a
+        record count other than ``n``, or a repeated external id, raises
+        :class:`DataError`."""
+        if n < 0:
+            raise ValueError("node count must be non-negative")
         self.n = n
-        self.meta = meta
+        self.meta = tuple(PaperMeta(str(p)) for p in range(n)) if meta is None else tuple(meta)
+        if len(self.meta) != n:
+            raise DataError(f"expected {n} meta records, got {len(self.meta)}")
         if ext_to_id is None:
-            ext_to_id = {m.external_id: p for p, m in enumerate(meta)}
+            ext_to_id = {m.external_id: p for p, m in enumerate(self.meta)}
         self._ext_to_id = ext_to_id
         if len(ext_to_id) != n:
             raise DataError("external ids are not unique")
@@ -135,18 +168,21 @@ class CitationGraph:
 
         Rejects self-loops, duplicates, and out-of-range endpoints; use
         :func:`load_graph` for streams that still need cleaning.  The error
-        names the first edge, in the given order, that breaks a rule.
+        names the first edge, in the given order, that breaks a rule.  Every
+        endpoint must be an integer (``operator.index``): a float or a
+        string raises TypeError, and a bool reads as 0 or 1.  The
+        constructor supplies the default ``meta`` and checks its length.
         """
-        if n < 0:
+        if n < 0:  # before the edges, so that a negative count is named first
             raise ValueError("node count must be non-negative")
         pairs = list(edges)
-        try:
-            uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            # an endpoint beyond int64 is out of range: clamp it to -1 or n
-            uv = np.array([(min(max(u, -1), n), min(max(v, -1), n)) for u, v in pairs],
-                          dtype=np.int64).reshape(-1, 2)
-        u, v = uv.T
+        uv = np.array(pairs)
+        if uv.dtype != np.int64:
+            # no edges, or endpoints numpy does not read as int64: read each
+            # as an integer, one beyond int64 clamped to -1 or n (out of range)
+            uv = np.array([[min(max(operator.index(x), -1), n) for x in pair] for pair in pairs],
+                          dtype=np.int64)
+        u, v = uv.reshape(-1, 2).T
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad = outside | (u == v)
         kept = np.flatnonzero(~bad)
@@ -164,12 +200,6 @@ class CitationGraph:
             if a == b:
                 raise DataError(f"self-loop at node {a}")
             raise DataError(f"duplicate edge ({a}, {b})")
-        if meta is None:
-            meta = tuple(PaperMeta(external_id=str(p)) for p in range(n))
-        else:
-            meta = tuple(meta)
-            if len(meta) != n:
-                raise DataError(f"expected {n} meta records, got {len(meta)}")
         return cls(n, keys, meta)
 
     # -- lookups -----------------------------------------------------------
@@ -184,7 +214,10 @@ class CitationGraph:
         return self.meta[p].external_id
 
     def has_edge(self, u: PaperId, v: PaperId) -> bool:
-        if not 0 <= u < self.n:
+        """Whether u cites v.  Both ids are read through ``operator.index``;
+        an integer outside [0, n) cites, and is cited by, nothing."""
+        u, v = operator.index(u), operator.index(v)
+        if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         indptr, indices = self._views["out"]
         row = indices[indptr[u]:indptr[u + 1]]
@@ -194,8 +227,7 @@ class CitationGraph:
     def neighbors(self, p: PaperId, view: str = "undirected") -> frozenset:
         """Return I(p), O(p), or L(p); mutual citations collapse to one
         undirected neighbor."""
-        if not 0 <= p < self.n:
-            raise ValueError(f"paper id {p} out of range [0, {self.n})")
+        p = paper_id(p, self.n)
         indptr, indices = self.csr(view)
         return frozenset(indices[indptr[p]:indptr[p + 1]].tolist())
 
@@ -258,9 +290,7 @@ def classify_connector(
     """
     if len({x, p, q}) != 3:
         raise ValueError("x, p, q must be three distinct papers")
-    for node in (x, p, q):
-        if not 0 <= node < g.n:
-            raise ValueError(f"paper id {node} out of range [0, {g.n})")
+    x, p, q = (paper_id(node, g.n) for node in (x, p, q))
     roles = set()
     p_x = g.has_edge(p, x)
     q_x = g.has_edge(q, x)

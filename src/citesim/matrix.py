@@ -33,14 +33,13 @@ NUL dropped.  The temporaries peak at about 3 MB while n is at most
 from __future__ import annotations
 
 import csv
-import operator
 from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import DataError
-from .graph import csv_rows, plain_ascii
+from .graph import csv_rows, paper_id, plain_ascii
 
 # Full 17-significant-digit rendering: round-trips any float64 exactly.
 SCORE_FORMAT = "%.17g"
@@ -105,12 +104,8 @@ class SimilarityMatrix:
                    np.where(lower, na.T, na).astype(bool, copy=False), k, bounded)
 
     def _row(self, p: int) -> int:
-        # operator.index: a float is no paper id, and a bool reads as 0 or 1,
-        # where numpy would take it for a mask
-        p = operator.index(p)
-        if not 0 <= p < self.n:
-            raise ValueError(f"paper id {p} out of range [0, {self.n})")
-        return p
+        # a bool reads as 0 or 1, where numpy would take it for a mask
+        return paper_id(p, self.n)
 
     # -- element access ----------------------------------------------------
 

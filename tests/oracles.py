@@ -13,8 +13,9 @@ Two kinds, neither sharing code with the engine's matrix algebra:
 The score store has element-by-element references too: the CSV one line
 per pair, the CSV check through dicts and sets of pairs, and rankings from
 a sorted list.  The graph loader has one as well: per-edge Python sets, as
-the graph was once stored.  So does the corpus loader: the two-pass one,
-which buffers every field's ids before it resolves any.
+the graph was once stored.  So do the seeded generators: one scalar draw
+per pair, through ``CitationGraph.from_edges``.  So does the corpus loader:
+the two-pass one, which buffers every field's ids before it resolves any.
 """
 from __future__ import annotations
 
@@ -432,6 +433,29 @@ def reference_from_edges_error(n, edges):
             return f"duplicate edge ({u}, {v})"
         seen.add((u, v))
     return None
+
+
+# -- seeded graph references ---------------------------------------------------
+
+
+def reference_random_graph(n, density, seed):
+    """``fixtures.random_graph`` from one scalar ``rng.random()`` per
+    ordered pair (u, v), u then v ascending: u cites v when its draw is below
+    ``density``, and the diagonal's draw is taken but never an edge."""
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < density and u != v]
+    return CitationGraph.from_edges(n, edges)
+
+
+def reference_clustered_citation_graph(communities, size, p_in, p_out, seed):
+    """``fixtures.clustered_citation_graph``'s graph from one scalar
+    ``rng.random()`` per pair, v then the older u ascending: v cites u when
+    its draw is below ``p_in`` (same community) or ``p_out``."""
+    rng = np.random.default_rng(seed)
+    n = communities * size
+    edges = [(v, u) for v in range(n) for u in range(v)
+             if rng.random() < (p_in if u // size == v // size else p_out)]
+    return CitationGraph.from_edges(n, edges)
 
 
 # -- corpus loader reference ---------------------------------------------------

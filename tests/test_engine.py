@@ -409,6 +409,11 @@ def test_top_k_rejects_bad_arguments():
         top_k(m, 5, 3)
     with pytest.raises(ValueError):
         top_k(m, 0, 0)
+    # a count is an integer: a float failed inside numpy's slicing
+    for count in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            top_k(m, 0, count)
+    assert top_k(m, 0, np.int64(3)) == top_k(m, 0, 3)
 
 
 def test_top_k_matches_brute_force_sort(shared_graph):

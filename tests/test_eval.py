@@ -213,8 +213,14 @@ def test_benchmark_argument_validation(shared_graph):
     assert run_benchmark(shared_graph, corpus, _default_configs(), []).rows == {}
     with pytest.raises(ConfigError):
         run_benchmark(shared_graph, corpus, [MeasureConfig("crank")] * 2, [10])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="m values must be >= 1, got 0"):
         run_benchmark(shared_graph, corpus, [MeasureConfig("crank")], [0])
+    # an m is an integer: 2.5 was truncated to 2, "10" read as 10
+    for m in (2.5, 10.0, "10"):
+        with pytest.raises(TypeError):
+            run_benchmark(shared_graph, corpus, [MeasureConfig("crank")], [m])
+        with pytest.raises(TypeError):
+            precision_at_m(_precision_fixture(), 0, {0, 1}, m)
     bad = EvalCorpus(name="t", fields={"f": frozenset({0, 99})})
     with pytest.raises(DataError):
         run_benchmark(shared_graph, bad, [MeasureConfig("crank")], [10])

@@ -65,6 +65,24 @@ def test_neighbors_rejects_bad_input(shared_graph):
         shared_graph.neighbors(99, "in")
     with pytest.raises(ValueError):
         shared_graph.neighbors(0, "sideways")
+    # a paper id is an integer: a float or a string is none, a bool reads as 0 or 1
+    for paper in (1.0, 0.5, "1"):
+        with pytest.raises(TypeError):
+            shared_graph.neighbors(paper, "in")
+    assert shared_graph.neighbors(True, "out") == shared_graph.neighbors(1, "out")
+    assert shared_graph.neighbors(np.int64(1)) == shared_graph.neighbors(1)
+
+
+def test_has_edge_reads_both_ids_as_integers():
+    g = CitationGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert g.has_edge(0, 1) and g.has_edge(np.int64(1), np.int32(2)) and g.has_edge(True, 2)
+    assert not g.has_edge(0, 2) and not g.has_edge(False, 0)
+    for u, v in ((0, 1.0), (0, 1.5), (1.0, 0), (0, "1")):
+        with pytest.raises(TypeError):
+            g.has_edge(u, v)
+    # an integer outside [0, n) cites, and is cited by, nothing
+    for u, v in ((-1, 0), (0, -2), (0, 3), (3, 0), (0, 2**70), (-(2**70), 1)):
+        assert not g.has_edge(u, v)
 
 
 def test_mutual_citations_collapse_in_undirected_view():
@@ -253,6 +271,9 @@ def test_connector_rejects_bad_triples(shared_graph):
         classify_connector(shared_graph, 1, 1, 2)
     with pytest.raises(ValueError):
         classify_connector(shared_graph, 0, 1, 99)
+    for triple in ((0.5, 1, 2), (0, 1.0, 2), (0, 1, "2")):
+        with pytest.raises(TypeError):
+            classify_connector(shared_graph, *triple)
 
 
 def test_from_edges_is_strict():
@@ -266,6 +287,13 @@ def test_from_edges_is_strict():
         CitationGraph.from_edges(2, [(0, 1)], meta=[PaperMeta("only-one")])
     with pytest.raises(DataError, match="external ids are not unique"):
         CitationGraph.from_edges(2, [(0, 1)], meta=[PaperMeta("a"), PaperMeta("a")])
+    # every endpoint is an integer; a cast to int64 would make each of these an edge
+    for edge in ((0.5, 2), (0, 1.9), ("0", "2")):
+        for edges in ([edge], [(0, 1), edge], [(0, 2**70), edge]):
+            with pytest.raises(TypeError):
+                CitationGraph.from_edges(3, edges)
+    assert CitationGraph.from_edges(3, [(True, 2)]).edges == {(1, 2)}
+    assert CitationGraph.from_edges(3, [(True, False)]).edges == {(1, 0)}
 
 
 def test_star_graph_needs_a_referrer():
@@ -452,7 +480,7 @@ def test_seeded_graphs_keep_their_bytes(tmp_path, kind, args, digest):
     lambda: fixtures.clustered_citation_graph(20, 60, 0.13, 0.004, 1),
 ], ids=["random", "clustered"])
 def test_seeded_graphs_draw_no_square(build):
-    # tracemalloc peak in n x n float64 squares at n=1200: 0.14 and 0.16
+    # tracemalloc peak in n x n float64 squares at n=1200: 0.11 and 0.12
     # drawn row by row; a whole square, or clustered's whole lower triangle
     # with its index arrays, would read at least 0.5
     build()
@@ -463,6 +491,37 @@ def test_seeded_graphs_draw_no_square(build):
     finally:
         tracemalloc.stop()
     assert peak / (8 * 1200 * 1200) < 0.25
+
+
+def _assert_same_graph(g, h):
+    assert g.n == h.n and g.meta == h.meta
+    for view in ("in", "out", "undirected"):
+        for a, b in zip(g.csr(view), h.csr(view)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+probabilities = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40), density=probabilities, seed=st.integers(0, 2**32 - 1))
+@example(n=1, density=1.0, seed=0)  # the diagonal's draw is taken, never an edge
+def test_random_graph_equals_from_edges_over_per_pair_draws(n, density, seed):
+    # the constructor trusts the keys that _draw_graph hands it; from_edges
+    # over one scalar draw per pair checks every edge they stand for
+    _assert_same_graph(fixtures.random_graph(n, density, seed),
+                       oracles.reference_random_graph(n, density, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(communities=st.integers(0, 5), size=st.integers(0, 9), p_in=probabilities,
+       p_out=probabilities, seed=st.integers(0, 2**32 - 1))
+@example(communities=3, size=4, p_in=1.0, p_out=1.0, seed=0)  # every older paper cited
+def test_clustered_graph_equals_from_edges_over_per_pair_draws(communities, size, p_in,
+                                                               p_out, seed):
+    g, _ = fixtures.clustered_citation_graph(communities, size, p_in, p_out, seed)
+    _assert_same_graph(g, oracles.reference_clustered_citation_graph(
+        communities, size, p_in, p_out, seed))
 
 
 def test_missing_file_raises():

@@ -12,6 +12,8 @@ masks are built at first use.  For the same reason a fresh
 ``_scores`` or ``_na`` store, so the store's layout is that module's alone,
 and only ``SimilarityMatrix.__init__`` assigns to the store, one of its
 cells or one of its attributes, so a matrix is made once and never written.
+Only ``graph.paper_id`` raises ``paper id … out of range``, so every method
+that takes a paper id reads it by one rule.
 
 No module uses the ``@`` operator or a BLAS-backed numpy name (``dot``,
 ``matmul``, ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``).
@@ -167,6 +169,25 @@ def test_only_the_matrix_module_reads_the_score_store(name):
               for target in (whole.elts if isinstance(whole, (ast.Tuple, ast.List)) else [whole])
               if _writes_the_store(target)]
     assert not writes, (name, writes)
+
+
+def _raises(node, scope=()):
+    """``(scope, raise)`` for every ``raise`` under ``node``, ``scope`` the
+    names of the classes and functions that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Raise):
+            yield ".".join(scope), child
+        yield from _raises(child, inner)
+
+
+def test_only_paper_id_raises_the_paper_id_range_message():
+    # one rule for a paper id: every other range check calls graph.paper_id
+    found = [(name, scope) for name in MODULES for scope, node in _raises(_tree(name))
+             if re.search(r"paper id \{.*\} out of range", ast.unparse(node))]
+    assert found == [("graph.py", "paper_id")]
 
 
 def test_the_package_version_is_the_project_version():
