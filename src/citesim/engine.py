@@ -803,7 +803,7 @@ def top_k(
         raise ValueError(f"count must be >= 1, got {count}")
     scores = m.row_scores(query)
     candidate = ~m.row_na(query)
-    candidate[query] = False
+    candidate[index(query)] = False  # row_scores has range-checked it; a bool is no mask
     ids = np.flatnonzero(candidate & (scores > 0.0))
     ids = ids[np.lexsort((ids, -scores[ids]))][:count]
     result = [TopKEntry(q, s) for q, s in zip(ids.tolist(), scores[ids].tolist())]

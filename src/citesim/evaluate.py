@@ -129,7 +129,7 @@ def run_benchmark(
         if len(members) < 2:
             raise DataError(f"field {name!r} has fewer than 2 papers")
         for p in members:
-            if not 0 <= p < g.n:
+            if not 0 <= operator.index(p) < g.n:
                 raise DataError(f"field {name!r} references unknown paper id {p}")
 
     queries = [(name, q) for name in sorted(corpus.fields)
@@ -242,7 +242,7 @@ def case_analysis(
         if tag not in CASE_TAGS:
             raise DataError(f"unknown case tag {tag!r} (expected one of {CASE_TAGS})")
         for node in (p, q):
-            if not 0 <= node < g.n:
+            if not 0 <= operator.index(node) < g.n:
                 raise DataError(f"paper id {node} not in graph")
         if p == q:
             raise DataError(f"case pair ({p}, {q}) must name two distinct papers")

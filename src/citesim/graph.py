@@ -13,10 +13,11 @@ stream through :func:`load_graph`, a caller's integer pairs through
 :meth:`CitationGraph.from_edges`, or the seeded generators of
 :mod:`citesim.fixtures`, which hand the constructor the edge keys they
 draw.  The constructor holds the rules all three share (a count that is not
-negative, one metadata record per paper, unique external ids); each road
-checks only what its own input can break.  :func:`paper_id` is the one rule
-for a paper id given to a method: an integer (``operator.index``) in
-[0, n).
+negative, one metadata record per paper, unique external ids) and builds
+the external-id index from the records itself; each road checks only what
+its own input can break.  :func:`paper_id` is the one rule for a paper id
+given to a method: an integer (``operator.index``) in [0, n).  A year is
+read as an integer the same way.
 
 A graph stores each view once, as read-only CSR rows ``(indptr, indices)``
 with every row in ascending order, built with numpy from the edges' ids:
@@ -54,11 +55,14 @@ class PaperMeta:
     def __post_init__(self):
         if not self.external_id:
             raise DataError("external_id must be a non-empty string")
-        if self.year is not None and not (YEAR_MIN <= self.year <= YEAR_MAX):
-            raise DataError(
-                f"year {self.year} for {self.external_id!r} outside "
-                f"[{YEAR_MIN}, {YEAR_MAX}]"
-            )
+        if self.year is not None:
+            # frozen: the int replaces an np.int64, so the year writes and reads back as it is
+            object.__setattr__(self, "year", operator.index(self.year))
+            if not YEAR_MIN <= self.year <= YEAR_MAX:
+                raise DataError(
+                    f"year {self.year} for {self.external_id!r} outside "
+                    f"[{YEAR_MIN}, {YEAR_MAX}]"
+                )
 
 
 @dataclass(frozen=True)
@@ -126,25 +130,22 @@ class CitationGraph:
     """
 
     def __init__(self, n: int, edge_keys: np.ndarray,
-                 meta: Optional[Sequence[PaperMeta]] = None, ext_to_id=None):
+                 meta: Optional[Sequence[PaperMeta]] = None):
         """``edge_keys`` holds each edge (u, v) once, as ``u * n + v`` in
         ascending order, with u != v and both in [0, n); the caller
         guarantees this, and nothing here checks it.  ``meta`` holds one
         record per paper; when it is None, paper p is named ``str(p)``.
-        ``ext_to_id`` maps each external id to its paper id, and is built
-        from ``meta`` when not given.  A negative ``n`` raises ValueError; a
-        record count other than ``n``, or a repeated external id, raises
-        :class:`DataError`."""
+        The index from each external id to its paper id is built from the
+        records.  A negative ``n`` raises ValueError; a record count other
+        than ``n``, or a repeated external id, raises :class:`DataError`."""
         if n < 0:
             raise ValueError("node count must be non-negative")
         self.n = n
         self.meta = tuple(PaperMeta(str(p)) for p in range(n)) if meta is None else tuple(meta)
         if len(self.meta) != n:
             raise DataError(f"expected {n} meta records, got {len(self.meta)}")
-        if ext_to_id is None:
-            ext_to_id = {m.external_id: p for p, m in enumerate(self.meta)}
-        self._ext_to_id = ext_to_id
-        if len(ext_to_id) != n:
+        self._ext_to_id = {m.external_id: p for p, m in enumerate(self.meta)}
+        if len(self._ext_to_id) != n:
             raise DataError("external ids are not unique")
         citing, cited = np.divmod(edge_keys, max(n, 1))
         # the keys ascend by (citing, cited), so a stable sort by cited
@@ -211,7 +212,7 @@ class CitationGraph:
             raise DataError(f"unknown paper id {external_id!r}") from None
 
     def external_id(self, p: PaperId) -> str:
-        return self.meta[p].external_id
+        return self.meta[paper_id(p, self.n)].external_id
 
     def has_edge(self, u: PaperId, v: PaperId) -> bool:
         """Whether u cites v.  Both ids are read through ``operator.index``;
@@ -338,12 +339,12 @@ def load_graph(
     meta = tuple(meta_by_ext.get(ext) or PaperMeta(external_id=ext) for ext in ids)
     u = np.array(citing_ids, dtype=np.intp)
     v = np.array(cited_ids, dtype=np.intp)
-    del citing_ids, cited_ids  # not held while the views are built
+    del ids, citing_ids, cited_ids  # not held while the index and the views are built
     loops = u == v
     self_loops = int(np.count_nonzero(loops))
     keep = ~loops
     keys = _sorted_distinct(u[keep] * n + v[keep])
-    graph = CitationGraph(n, keys, meta, ids)
+    graph = CitationGraph(n, keys, meta)
     report = LoadReport(duplicate_edges=len(u) - self_loops - len(keys),
                         self_loops=self_loops)
     return graph, report

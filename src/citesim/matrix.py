@@ -63,6 +63,9 @@ class SimilarityMatrix:
     read-only.  The diagonal is never N/A.  :meth:`from_square` builds one
     from any square-shaped input, leaving that input as it was.
 
+    Every paper id is read by :func:`~citesim.graph.paper_id`, so a bool
+    reads as 0 or 1, where numpy would take it for a mask.
+
     ``bounded`` records which score contract is active: True means every
     non-N/A score lies in [0, 1]; raw-count measures set it False.
     """
@@ -103,28 +106,24 @@ class SimilarityMatrix:
         return cls(np.where(lower, square.T, square).astype(float, copy=False),
                    np.where(lower, na.T, na).astype(bool, copy=False), k, bounded)
 
-    def _row(self, p: int) -> int:
-        # a bool reads as 0 or 1, where numpy would take it for a mask
-        return paper_id(p, self.n)
-
     # -- element access ----------------------------------------------------
 
     def get(self, p: int, q: int) -> float:
         """Score for the unordered pair; N/A pairs read as 0.0."""
-        return float(self._scores[self._row(p), self._row(q)])
+        return float(self._scores[paper_id(p, self.n), paper_id(q, self.n)])
 
     def is_na(self, p: int, q: int) -> bool:
-        return bool(self._na[self._row(p), self._row(q)])
+        return bool(self._na[paper_id(p, self.n), paper_id(q, self.n)])
 
     # -- bulk views (read-only rows of the store) --------------------------
 
     def row_scores(self, p: int) -> np.ndarray:
         """All scores against p as a read-only length-n row of the store (N/A
         entries read 0.0)."""
-        return self._scores[self._row(p)]
+        return self._scores[paper_id(p, self.n)]
 
     def row_na(self, p: int) -> np.ndarray:
-        return self._na[self._row(p)]
+        return self._na[paper_id(p, self.n)]
 
     def dense_scores(self) -> np.ndarray:
         """The store's full square score array, read-only."""

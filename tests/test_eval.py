@@ -208,7 +208,12 @@ def test_benchmark_runs_every_default_measure(shared_graph, tmp_path):
     assert again.rows == table.rows
 
 
-def test_benchmark_argument_validation(shared_graph):
+def _no_compute(*args):
+    raise AssertionError("a matrix was computed before the arguments were checked")
+
+
+def test_benchmark_argument_validation(shared_graph, monkeypatch):
+    monkeypatch.setattr(evaluate, "compute", _no_compute)  # every refusal comes first
     corpus = EvalCorpus(name="t", fields={"f": frozenset({0, 1})})
     assert run_benchmark(shared_graph, corpus, _default_configs(), []).rows == {}
     with pytest.raises(ConfigError):
@@ -224,6 +229,11 @@ def test_benchmark_argument_validation(shared_graph):
     bad = EvalCorpus(name="t", fields={"f": frozenset({0, 99})})
     with pytest.raises(DataError):
         run_benchmark(shared_graph, bad, [MeasureConfig("crank")], [10])
+    # a paper id is an integer
+    for paper in (1.5, 1.0, "1"):
+        bad = EvalCorpus(name="t", fields={"f": frozenset({0, paper})})
+        with pytest.raises(TypeError):
+            run_benchmark(shared_graph, bad, [MeasureConfig("crank")], [10])
     lone = EvalCorpus(name="t", fields={"f": frozenset({0})})
     with pytest.raises(DataError, match="field 'f' has fewer than 2 papers"):
         run_benchmark(shared_graph, lone, [MeasureConfig("crank")], [10])
@@ -423,7 +433,8 @@ def test_case_analysis_separates_zero_from_na(gap_graph, gap_ids):
     assert cross["crank:jaccard"] > 0.0
 
 
-def test_case_analysis_argument_validation(gap_graph, gap_ids):
+def test_case_analysis_argument_validation(gap_graph, gap_ids, monkeypatch):
+    monkeypatch.setattr(evaluate, "compute", _no_compute)  # every refusal comes first
     pairs = _gap_pairs(gap_ids)
     with pytest.raises(DataError):
         case_analysis(gap_graph, [(0, 1, "P9")], _default_configs())
@@ -431,6 +442,10 @@ def test_case_analysis_argument_validation(gap_graph, gap_ids):
         case_analysis(gap_graph, [(0, 0, "P1")], _default_configs())
     with pytest.raises(DataError):
         case_analysis(gap_graph, [(0, 99, "P1")], _default_configs())
+    # a paper id is an integer
+    for pair in ((0, 1.5, "P1"), (1.0, 0, "P1"), (0, "1", "P1")):
+        with pytest.raises(TypeError):
+            case_analysis(gap_graph, [pair], _default_configs())
     with pytest.raises(ConfigError):
         case_analysis(gap_graph, pairs, [MeasureConfig("crank")] * 2)
 

@@ -71,6 +71,15 @@ def test_neighbors_rejects_bad_input(shared_graph):
             shared_graph.neighbors(paper, "in")
     assert shared_graph.neighbors(True, "out") == shared_graph.neighbors(1, "out")
     assert shared_graph.neighbors(np.int64(1)) == shared_graph.neighbors(1)
+    # external_id reads its id by the same rule: -1 is not the last paper
+    n = shared_graph.n
+    for paper in (-1, n):
+        with pytest.raises(ValueError, match=rf"^paper id {paper} out of range \[0, {n}\)$"):
+            shared_graph.external_id(paper)
+    for paper in (1.0, "1"):
+        with pytest.raises(TypeError):
+            shared_graph.external_id(paper)
+    assert shared_graph.external_id(True) == shared_graph.external_id(np.int64(1)) == "e"
 
 
 def test_has_edge_reads_both_ids_as_integers():
@@ -319,6 +328,12 @@ def test_paper_meta_validation():
     assert PaperMeta("x", year=1900).year == 1900
     assert PaperMeta("x", year=2100).year == 2100
     assert PaperMeta("x").year is None
+    # a year is an integer: a float or a string is none, and any integer type is stored as int
+    for year in (1950.5, 1950.0, "1950"):
+        with pytest.raises(TypeError):
+            PaperMeta("x", year=year)
+    year = PaperMeta("x", year=np.int64(1999)).year
+    assert year == 1999 and type(year) is int
 
 
 def test_load_graph_rejects_an_empty_id():
@@ -339,6 +354,11 @@ def test_meta_only_node_is_retained():
     z = g.id_of("Z")
     assert g.neighbors(z, "undirected") == frozenset()
     assert g.meta[z].title == "isolated"
+    # meta-only papers follow the endpoints in record order, and the index
+    # the constructor builds from the records numbers them the same way
+    g, _ = load_graph([("A", "B")], [PaperMeta("Z"), PaperMeta("B", title="b"), PaperMeta("Y")])
+    assert [g.id_of(ext) for ext in "ABZY"] == [0, 1, 2, 3]
+    assert [g.external_id(p) for p in range(g.n)] == list("ABZY")
 
 
 def test_unknown_external_id_names_the_id(shared_graph):
@@ -436,6 +456,18 @@ def test_file_round_trip(tmp_path, gap_graph):
     }
     reloaded = {(g2.external_id(u), g2.external_id(v)) for u, v in g2.edges}
     assert original == reloaded
+
+
+def test_meta_file_round_trip_keeps_integer_years(tmp_path):
+    years = [1900, np.int64(1999), None, np.int32(2001), 2100]
+    meta = [PaperMeta(f"p{p}", title=f"t{p}, with a comma", year=y) for p, y in enumerate(years)]
+    g = CitationGraph.from_edges(5, [(0, 1), (1, 2)], meta)
+    fixtures.write_edge_file(g, tmp_path / "g.tsv")
+    fixtures.write_meta_file(g, tmp_path / "m.csv")
+    g2, _ = load_graph_files(tmp_path / "g.tsv", tmp_path / "m.csv")
+    assert g2.meta == g.meta
+    assert [type(m.year) for m in g2.meta] == [type(m.year) for m in g.meta] == [
+        int, int, type(None), int, int]
 
 
 # sha256 of write_edge_file's bytes, then write_meta_file's, for each seeded

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from citesim.engine import top_k
 from citesim.errors import DataError
 from citesim.matrix import SimilarityMatrix, read_matrix_csv, write_matrix_csv
 
@@ -172,6 +173,14 @@ def test_paper_ids_must_be_integers(paper):
             call(paper)
         assert np.array_equal(call(np.int64(1)), call(1))
         assert np.array_equal(call(True), call(1))
+    # top_k's query too: a bool is paper 1, not a mask that clears every candidate
+    ranked = SimilarityMatrix.from_square([[1.0, 0.5, 0.25], [0.5, 1.0, 0.75], [0.25, 0.75, 1.0]])
+    with pytest.raises(TypeError):
+        top_k(ranked, paper, 3)
+    assert [entry.paper for entry in top_k(ranked, 1, 3)] == [2, 0]
+    assert top_k(ranked, True, 3) == top_k(ranked, np.int64(1), 3) == top_k(ranked, 1, 3)
+    with pytest.raises(ValueError, match=r"^paper id -1 out of range \[0, 3\)$"):
+        top_k(ranked, -1, 3)
 
 
 def test_from_square_requires_a_square():
