@@ -10,6 +10,11 @@ One invocation, one command, file in, files out:
     citesim cases     --graph g.tsv --pairs pairs.tsv --out cases.csv
     citesim validate  --graph g.tsv [--measure crank --out scores.csv]
 
+The parser builds only the command it runs: the other six commands get
+their names and help lines but no flags.  When the first argument names
+no command (``--help``, a usage error) all seven are built, so help and
+usage errors read as they would with every command built.
+
 :func:`parse_args` builds a command's configs once, from its flags:
 --measure's, or one per measure in its default normalization (the numeric
 defaults are `MeasureConfig`'s), so the configs that run vet the numbers.
@@ -58,7 +63,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, fields
 from itertools import islice
 
 import numpy as np
@@ -94,59 +98,55 @@ def _m_list(text: str) -> tuple:
     return values
 
 
-def _build_parser() -> _Parser:
+_COMMANDS = {
+    "compute": "write the full similarity matrix",
+    "topk": "best partners for one query paper",
+    "eval": "mean precision@m against reference fields",
+    "histogram": "score distribution with N/A bucket",
+    "trace": "top-score mean after each iteration up to --kmax",
+    "cases": "score tagged hard pairs under every measure",
+    "validate": "check a graph file, or verify a matrix CSV",
+}
+
+
+def _build_parser(command=None) -> _Parser:
+    """The parser of every command, with flags added to ``command``'s
+    subparser alone; to all seven when ``command`` names none of them."""
     parser = _Parser(prog="citesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    default = {f.name: f.default for f in fields(MeasureConfig)}
-
-    def add_common(p, out_required=True, measure_required=False):
+    parsers = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
+    default = MeasureConfig._field_defaults
+    for name in [command] if command in parsers else parsers:
+        p = parsers[name]
         for kind in (int, float):  # numeric flags take plain ASCII only, as the CSV readers do
             p.register("type", kind, lambda text, kind=kind: kind(plain_ascii(text)))
         p.add_argument("--graph", required=True, help="edge-list file, citing<TAB>cited")
         p.add_argument("--meta", help="optional CSV: external_id,title,year")
-        p.add_argument("--measure", choices=MEASURES, required=measure_required)
+        p.add_argument("--measure", choices=MEASURES,
+                       required=name not in ("eval", "cases", "validate"))
         p.add_argument("--normalization", choices=NORMALIZATIONS)
         p.add_argument("--C", type=float, default=default["C"], help="decay factor in [0,1]")
         p.add_argument("--lambda", dest="lam", type=float, default=default["lam"],
                        help="in-link vs out-link weight in [0,1]")
         p.add_argument("--kmax", dest="k_max", type=int, default=default["k_max"])
         p.add_argument("--epsilon", type=float, default=default["epsilon"])
-        p.add_argument("--out", required=out_required, help="output CSV path")
+        p.add_argument("--out", required=name != "validate", help="output CSV path")
         p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("compute", help="write the full similarity matrix")
-    add_common(p, measure_required=True)
-
-    p = sub.add_parser("topk", help="best partners for one query paper")
-    add_common(p, measure_required=True)
-    p.add_argument("--query", required=True, help="external id of the query paper")
-    p.add_argument("--count", type=int, default=10)
-
-    p = sub.add_parser("eval", help="mean precision@m against reference fields")
-    add_common(p)
-    p.add_argument("--corpus", required=True, help="[field] sections of external ids")
-    p.add_argument("--m", dest="m_values", type=_m_list,
-                   default=(10, 20, 30, 40, 50), help="comma-separated m values")
-
-    p = sub.add_parser("histogram", help="score distribution with N/A bucket")
-    add_common(p, measure_required=True)
-
-    p = sub.add_parser("trace", help="top-score mean after each iteration up to --kmax")
-    add_common(p, measure_required=True)
-
-    p = sub.add_parser("cases", help="score tagged hard pairs under every measure")
-    add_common(p)
-    p.add_argument("--pairs", required=True, help="p<TAB>q<TAB>tag lines")
-
-    p = sub.add_parser("validate", help="check a graph file, or verify a matrix CSV")
-    add_common(p, out_required=False)
-
+        if name == "topk":
+            p.add_argument("--query", required=True, help="external id of the query paper")
+            p.add_argument("--count", type=int, default=10)
+        elif name == "eval":
+            p.add_argument("--corpus", required=True, help="[field] sections of external ids")
+            p.add_argument("--m", dest="m_values", type=_m_list,
+                           default=(10, 20, 30, 40, 50), help="comma-separated m values")
+        elif name == "cases":
+            p.add_argument("--pairs", required=True, help="p<TAB>q<TAB>tag lines")
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
     """The parsed command line, validated; usage problems exit 1."""
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     spec = parser.parse_args(argv)
     if spec.threads < 1:
         parser.error("--threads must be >= 1")
@@ -183,7 +183,7 @@ def _graph_payload(g, load_report) -> dict:
 
 
 def _config_payload(cfg: MeasureConfig) -> dict:
-    payload = asdict(cfg)
+    payload = cfg._asdict()
     payload["lambda"] = payload.pop("lam")
     return payload
 
@@ -290,7 +290,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
             # an unknown query fails before the matrix is computed
             qid = g.id_of(spec.query) if spec.command == "topk" else None
             mat, report = compute(g, cfg, spec.threads)
-            summary["iteration"] = None if report is None else asdict(report)
+            summary["iteration"] = None if report is None else report._asdict()
             if spec.command == "compute":
                 write_matrix_csv(mat, out)
                 summary.update({"k": mat.k, "na_pairs": mat.na_count()})

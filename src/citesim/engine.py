@@ -76,15 +76,14 @@ recursion scores every pair: an empty union just yields 0.
 """
 from __future__ import annotations
 
-import queue
 import threading
 import warnings
+from collections import deque
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from math import isqrt
 from operator import iand, index
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,14 +124,7 @@ def _terms(cfg: MeasureConfig) -> list:
     }[cfg.measure]
 
 
-@dataclass(frozen=True)
-class MeasureConfig:
-    """Measure choice plus decay C, weight lam, budget k_max, tolerance epsilon.
-
-    ``normalization=None`` resolves to the measure's default mode.  Invalid
-    combinations raise :class:`ConfigError` at construction.
-    """
-
+class _ConfigFields(NamedTuple):
     measure: str
     normalization: Optional[str] = None
     C: float = 0.8
@@ -140,33 +132,47 @@ class MeasureConfig:
     k_max: int = 10
     epsilon: float = 1e-4
 
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ConfigError(f"unknown measure {self.measure!r}")
-        if self.normalization is None:
-            object.__setattr__(self, "normalization", _NORMS[self.measure][0])
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.normalization not in _NORMS[self.measure]:
+
+class MeasureConfig(_ConfigFields):
+    """Measure choice plus decay C, weight lam, budget k_max, tolerance epsilon.
+
+    ``normalization=None`` resolves to the measure's default mode.  Invalid
+    combinations raise :class:`ConfigError` at construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, measure: str, normalization: Optional[str] = None, C: float = 0.8,
+                lam: float = 0.5, k_max: int = 10, epsilon: float = 1e-4):
+        if measure not in MEASURES:
+            raise ConfigError(f"unknown measure {measure!r}")
+        if normalization is None:
+            normalization = _NORMS[measure][0]
+        if normalization not in NORMALIZATIONS:
+            raise ConfigError(f"unknown normalization {normalization!r}")
+        if normalization not in _NORMS[measure]:
             raise ConfigError(
-                f"{self.measure} does not support {self.normalization} "
-                f"normalization (allowed: {', '.join(_NORMS[self.measure])})"
+                f"{measure} does not support {normalization} "
+                f"normalization (allowed: {', '.join(_NORMS[measure])})"
             )
-        for name, kind, valid, rule in (
-            ("C", float, lambda v: 0.0 <= v <= 1.0, "C must be in [0,1]"),
-            ("lam", float, lambda v: 0.0 <= v <= 1.0, "lambda must be in [0,1]"),
-            ("k_max", int, lambda v: v >= 1, "k_max must be an integer >= 1"),
-            ("epsilon", float, lambda v: 0.0 < v < np.inf, "epsilon must be finite and > 0"),
+        numbers = []
+        for value, kind, valid, rule in (
+            (C, float, lambda v: 0.0 <= v <= 1.0, "C must be in [0,1]"),
+            (lam, float, lambda v: 0.0 <= v <= 1.0, "lambda must be in [0,1]"),
+            (k_max, int, lambda v: v >= 1, "k_max must be an integer >= 1"),
+            (epsilon, float, lambda v: 0.0 < v < np.inf, "epsilon must be finite and > 0"),
         ):
             # stored converted, and only when conversion keeps the value
-            value = getattr(self, name)
             try:
                 converted = kind(value)
             except (TypeError, ValueError, OverflowError):
                 converted = None
             if converted is None or converted != value or not valid(converted):
                 raise ConfigError(f"{rule}, got {value!r}")
-            object.__setattr__(self, name, converted)
+            numbers.append(converted)
+        return tuple.__new__(cls, (measure, normalization, *numbers))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     @property
     def iterative(self) -> bool:
@@ -180,8 +186,7 @@ class MeasureConfig:
         return f"{self.measure}:{self.normalization}"
 
 
-@dataclass(frozen=True)
-class IterationReport:
+class IterationReport(NamedTuple):
     iterations_run: int
     converged: bool
     max_delta_per_iteration: tuple
@@ -317,16 +322,14 @@ def _block_pool(threads: int, n: int):
         # the queue holds the calls, so drain refers to no square: a
         # helper cancelled before it started stays in the pool's queue
         # until a worker takes it, and would keep them alive meanwhile
-        jobs = queue.SimpleQueue()
-        for r0, r1, steps in reversed(plan):
-            jobs.put(partial(fn, r0, r1, steps, scratch, *args))
+        jobs = deque(partial(fn, r0, r1, steps, scratch, *args) for r0, r1, steps in plan)
         results = []
 
         def drain():
             while True:
                 try:
-                    job = jobs.get_nowait()
-                except queue.Empty:
+                    job = jobs.pop()  # atomic, last block first
+                except IndexError:
                     return
                 results.append(job())
 
@@ -781,8 +784,7 @@ def compute(
 # -- ranking ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopKEntry:
+class TopKEntry(NamedTuple):
     paper: int
     score: float
     zero_fill: bool = False
@@ -816,16 +818,14 @@ def top_k(
 # -- measure-identity checks -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     max_abs_diff: float
     tolerance: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     checks: tuple
 
     @property

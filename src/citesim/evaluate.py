@@ -9,9 +9,8 @@ top-score traces, and a score table for hand-tagged hard pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+import os
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ CASE_TAGS = ("P1", "P2", "P3")
 UNBOUNDED_HISTOGRAM = "histogram requires [0,1] scores; raw counts are unbounded"
 
 
-@dataclass(frozen=True)
-class EvalCorpus:
+class EvalCorpus(NamedTuple):
     """Named reference fields; every member id resolves in the graph."""
 
     name: str
@@ -38,8 +36,7 @@ class EvalCorpus:
         return sum(len(v) for v in self.fields.values())
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     """What the loader had to discard: unknown ids and too-small fields."""
 
     unresolved: dict
@@ -77,13 +74,14 @@ def load_corpus(path, g: CitationGraph) -> tuple[EvalCorpus, CorpusReport]:
     fields = {name: frozenset(ids) for name, ids in resolved.items() if len(ids) >= 2}
     if not fields:
         raise DataError(f"{path}: no field resolves at least 2 papers in the graph")
-    return (EvalCorpus(name=Path(str(path)).stem, fields=fields),
+    base = os.path.basename(path)
+    dot = base.rfind(".")  # the stem as pathlib reads it: "refs." and "..txt" keep their dots
+    return (EvalCorpus(name=base[:dot] if 0 < dot < len(base) - 1 else base, fields=fields),
             CorpusReport(unresolved={name: tuple(ids) for name, ids in unresolved.items()},
                          dropped_fields=tuple(name for name in resolved if name not in fields)))
 
 
-@dataclass(frozen=True)
-class PrecisionTable:
+class PrecisionTable(NamedTuple):
     rows: dict  # (measure label, m) -> mean precision over all queries
     query_count: int
 
@@ -125,6 +123,8 @@ def run_benchmark(
     for m in m_values:
         if m < 1:
             raise ConfigError(f"m values must be >= 1, got {m}")
+    if not corpus.fields:
+        raise DataError("corpus has no fields")
     for name, members in corpus.fields.items():
         if len(members) < 2:
             raise DataError(f"field {name!r} has fewer than 2 papers")
@@ -150,8 +150,7 @@ def run_benchmark(
     return PrecisionTable(rows=rows, query_count=len(queries))
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     buckets: tuple  # counts for [0,0.1), [0.1,0.2), ..., [0.9,1.0]
     na: int
     total_pairs: int
@@ -182,8 +181,7 @@ def score_histogram(m: SimilarityMatrix) -> Histogram:
     )
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     k: int
     mean_top10: float
     pairs_used: int
@@ -217,16 +215,14 @@ def _mean_top(vals: np.ndarray, count: int) -> tuple[float, int]:
     return float(np.sort(top)[::-1].mean()), take
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(NamedTuple):
     p: int
     q: int
     tag: str
     scores: dict  # measure label -> float, or None where the pair is N/A
 
 
-@dataclass(frozen=True)
-class CaseTable:
+class CaseTable(NamedTuple):
     labels: tuple
     rows: tuple
 

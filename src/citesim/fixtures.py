@@ -160,9 +160,10 @@ def write_edge_file(g: CitationGraph, path):
     isolated papers must survive a round trip.
     """
     out = g.csr("out")
+    names = [m.external_id for m in g.meta]  # read once: the rows' ids are in range
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in zip(csr_rows(out).tolist(), out[1].tolist()):
-            fh.write(f"{g.external_id(u)}\t{g.external_id(v)}\n")
+            fh.write(f"{names[u]}\t{names[v]}\n")
 
 
 def write_meta_file(g: CitationGraph, path):

@@ -32,8 +32,7 @@ from __future__ import annotations
 import csv
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,37 +43,40 @@ PaperId = int
 YEAR_MIN, YEAR_MAX = 1900, 2100
 
 
-@dataclass(frozen=True)
-class PaperMeta:
-    """Source-side identity of a paper (key, optional title and year)."""
-
+class _PaperFields(NamedTuple):
     external_id: str
     title: str = ""
     year: Optional[int] = None
 
-    def __post_init__(self):
-        if not self.external_id:
+
+class PaperMeta(_PaperFields):
+    """Source-side identity of a paper (key, optional title and year)."""
+
+    __slots__ = ()
+
+    def __new__(cls, external_id: str, title: str = "", year: Optional[int] = None):
+        if not external_id:
             raise DataError("external_id must be a non-empty string")
-        if self.year is not None:
-            # frozen: the int replaces an np.int64, so the year writes and reads back as it is
-            object.__setattr__(self, "year", operator.index(self.year))
-            if not YEAR_MIN <= self.year <= YEAR_MAX:
+        if year is not None:
+            # the int replaces an np.int64, so the year writes and reads back as it is
+            year = operator.index(year)
+            if not YEAR_MIN <= year <= YEAR_MAX:
                 raise DataError(
-                    f"year {self.year} for {self.external_id!r} outside "
-                    f"[{YEAR_MIN}, {YEAR_MAX}]"
+                    f"year {year} for {external_id!r} outside [{YEAR_MIN}, {YEAR_MAX}]"
                 )
+        return tuple.__new__(cls, (external_id, title, year))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     """Counts of rows discarded while loading an edge stream."""
 
     duplicate_edges: int = 0
     self_loops: int = 0
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     n: int
     edge_count: int
     d1: float  # mean in-degree

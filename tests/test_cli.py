@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -336,10 +337,16 @@ def test_data_problems_exit_2(shared_files, tmp_path, capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
-    assert main(["compute", "--help"]) == 0
-    out = capsys.readouterr().out
-    assert "--kmax" in out and "--epsilon" in out
+    assert "{compute,topk,eval,histogram,trace,cases,validate}" in capsys.readouterr().out
+    # the parser builds only the command it runs: each lists its own flags
+    common = {"--help", "--graph", "--meta", "--measure", "--normalization", "--C",
+              "--lambda", "--kmax", "--epsilon", "--out", "--threads"}
+    own = {"topk": {"--query", "--count"}, "eval": {"--corpus", "--m"}, "cases": {"--pairs"}}
+    for command in ("compute", "topk", "eval", "histogram", "trace", "cases", "validate"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: citesim {command} ")
+        assert set(re.findall(r"--[a-zA-Z]+", out)) == common | own.get(command, set()), command
 
 
 # -- per-command outputs -----------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ def test_load_corpus_resolves_fields(tmp_path, shared_graph):
     )
     assert corpus.query_count() == 5
     assert report.unresolved == {} and report.dropped_fields == ()
+
+
+@pytest.mark.parametrize("name", ["desk.txt", "desk", "desk.", "..txt", ".hidden", "a.tar.gz", "a..b"])
+def test_load_corpus_names_the_corpus_by_the_file_stem(tmp_path, shared_graph, name):
+    path = _write_corpus(tmp_path, "[alpha]\na\nb\n", name=name)
+    assert load_corpus(path, shared_graph)[0].name == Path(name).stem
+    assert load_corpus(str(path), shared_graph)[0].name == Path(name).stem
 
 
 def test_load_corpus_reports_unknown_ids(tmp_path, shared_graph):
@@ -144,7 +152,7 @@ def test_load_corpus_matches_the_two_pass_reference(tmp_path_factory, shared_gra
             corpus, report = loader(path, shared_graph)
         except DataError as exc:
             return str(exc)
-        # dataclass equality ignores dict order; the item lists keep it
+        # record equality ignores dict order; the item lists keep it
         return (corpus, list(corpus.fields.items()),
                 report, list(report.unresolved.items()))
 
@@ -237,6 +245,17 @@ def test_benchmark_argument_validation(shared_graph, monkeypatch):
     lone = EvalCorpus(name="t", fields={"f": frozenset({0})})
     with pytest.raises(DataError, match="field 'f' has fewer than 2 papers"):
         run_benchmark(shared_graph, lone, [MeasureConfig("crank")], [10])
+
+
+def test_benchmark_refuses_a_corpus_without_fields(monkeypatch):
+    # it used to compute every matrix, then divide by zero queries
+    calls = []
+    monkeypatch.setattr(evaluate, "compute", lambda *args: calls.append(args))
+    g = fixtures.random_graph(30, 0.2, 1)
+    for m_values in ([10], []):
+        with pytest.raises(DataError, match="corpus has no fields"):
+            run_benchmark(g, EvalCorpus("empty", {}), _default_configs(), m_values)
+    assert calls == []
 
 
 def _queries(fields):

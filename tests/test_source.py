@@ -7,8 +7,9 @@ leaves no dead import behind.  No module calls numpy at import, apart from
 ``np.dtype``: numpy work at import grows every process's RSS, so tables and
 masks are built at first use.  For the same reason a fresh
 ``import citesim.cli`` loads neither ``citesim.fixtures`` nor
-``numpy.random``.  The project's version in ``pyproject.toml`` is
-``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
+``numpy.random``, and none of ``dataclasses``, ``queue``, ``pathlib`` or
+``concurrent.futures`` beyond what numpy loads itself.  The project's
+version in ``pyproject.toml`` is ``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
 ``_scores`` or ``_na`` store, so the store's layout is that module's alone,
 and only ``SimilarityMatrix.__init__`` assigns to the store, one of its
 cells or one of its attributes, so a matrix is made once and never written.
@@ -66,16 +67,31 @@ def test_every_module_is_checked():
     assert "__init__.py" in MODULES and "evaluate.py" in MODULES
 
 
+def _fresh_python(code):
+    path = os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_the_cli_never_loads_the_graph_generators():
     # every timed process starts from ``import citesim.cli``: numpy.random
     # alone would add to each one's start-up, and citesim.fixtures only
     # writes test and benchmark inputs
-    path = os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]))
     code = ("import sys, citesim.cli; "
             "print('citesim.fixtures' in sys.modules, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+    assert _fresh_python(code) == (0, "False False\n", "")
+
+
+def test_the_cli_loads_no_standard_module_its_commands_do_without():
+    # records are named tuples (dataclasses runs generated code per class),
+    # the block queue is a deque, a corpus's stem comes from os.path, and
+    # only a run with helper threads loads the pool: numpy may load any of
+    # these itself, so only what citesim adds counts
+    code = ("import sys, numpy; loaded = set(sys.modules); import citesim.cli; "
+            "print(sorted({'dataclasses', 'queue', 'pathlib', 'concurrent.futures'}"
+            " & (set(sys.modules) - loaded)))")
+    assert _fresh_python(code) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("name", MODULES)
