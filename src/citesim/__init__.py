@@ -40,18 +40,15 @@ from .engine import (
     MeasureConfig,
     ReductionReport,
     TopKEntry,
-    amsler,
     cocitation,
     compute,
     converge,
-    coupling,
     crank_jaccard,
     iterate_pairwise,
     iteration_scores,
     na_mask,
     reduction_check,
     top_k,
-    write_iteration_csv,
 )
 from .evaluate import (
     CASE_TAGS,
@@ -101,14 +98,12 @@ __all__ = [
     "SimilarityMatrix",
     "TopKEntry",
     "TracePoint",
-    "amsler",
     "case_analysis",
     "classify_connector",
     "cocitation",
     "compute",
     "converge",
     "convergence_trace",
-    "coupling",
     "crank_jaccard",
     "iterate_pairwise",
     "iteration_scores",
@@ -126,7 +121,6 @@ __all__ = [
     "top_k",
     "write_cases_csv",
     "write_histogram_csv",
-    "write_iteration_csv",
     "write_matrix_csv",
     "write_precision_csv",
     "write_trace_csv",

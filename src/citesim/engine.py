@@ -89,7 +89,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import CitationGraph, csr_rows
-from .matrix import SCORE_FORMAT, SimilarityMatrix
+from .matrix import SimilarityMatrix
 
 # Per measure, the normalizations it supports; the first is its default.
 # Counting measures default to the raw set-intersection reading; the
@@ -489,18 +489,6 @@ def cocitation(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> Simila
     return _one_shot(g, cfg, threads)
 
 
-def coupling(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
-    """Shared-reference counts |O(p) & O(q)|, raw or Jaccard-normalized."""
-    _require(cfg, "coupling")
-    return _one_shot(g, cfg, threads)
-
-
-def amsler(g: CitationGraph, cfg: MeasureConfig, threads: int = 1) -> SimilarityMatrix:
-    """lam * shared-citer score + (1 - lam) * shared-reference score."""
-    _require(cfg, "amsler")
-    return _one_shot(g, cfg, threads)
-
-
 # -- N/A structure ----------------------------------------------------------
 
 
@@ -893,11 +881,3 @@ def reduction_check(g: CitationGraph, threads: int = 1, tolerance: float = 1e-12
 def _chain_check(name, mats, tol):
     diff = float(np.max([_block_delta(a, b, np.empty_like(a)) for a, b in zip(mats, mats[1:])]))
     return IdentityCheck(name, diff, tol, diff <= tol)
-
-
-def write_iteration_csv(report: IterationReport, path):
-    """Write `iteration,max_delta` rows, iterations numbered from 1."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,max_delta\n")
-        for i, d in enumerate(report.max_delta_per_iteration, start=1):
-            fh.write(f"{i},{SCORE_FORMAT % d}\n")

@@ -32,9 +32,6 @@ class EvalCorpus(NamedTuple):
     name: str
     fields: dict
 
-    def query_count(self) -> int:
-        return sum(len(v) for v in self.fields.values())
-
 
 class CorpusReport(NamedTuple):
     """What the loader had to discard: unknown ids and too-small fields."""

@@ -115,6 +115,16 @@ def paper_id(p, n: int) -> PaperId:
     return p
 
 
+def _endpoints(edge, n: int) -> tuple[int, int]:
+    """An edge's two endpoints as integers, one beyond int64 clamped to -1
+    or n (out of range)."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise DataError(f"edge {edge!r} is not a pair of endpoints") from None
+    return min(max(operator.index(u), -1), n), min(max(operator.index(v), -1), n)
+
+
 def csr_rows(op) -> np.ndarray:
     """The row of each entry of CSR rows ``op = (indptr, indices)``, in
     storage order: with ``op[1]``, the coordinates of every nonzero."""
@@ -169,22 +179,25 @@ class CitationGraph:
     ) -> "CitationGraph":
         """Build a graph over nodes ``0..n-1`` from integer edge pairs.
 
-        Rejects self-loops, duplicates, and out-of-range endpoints; use
-        :func:`load_graph` for streams that still need cleaning.  The error
-        names the first edge, in the given order, that breaks a rule.  Every
-        endpoint must be an integer (``operator.index``): a float or a
-        string raises TypeError, and a bool reads as 0 or 1.  The
-        constructor supplies the default ``meta`` and checks its length.
+        Rejects entries that are not two endpoints, self-loops, duplicates,
+        and out-of-range endpoints; use :func:`load_graph` for streams that
+        still need cleaning.  The error names the first edge, in the given
+        order, that breaks a rule.  Every endpoint must be an integer
+        (``operator.index``): a float or a string raises TypeError, and a
+        bool reads as 0 or 1.  The constructor supplies the default ``meta``
+        and checks its length.
         """
         if n < 0:  # before the edges, so that a negative count is named first
             raise ValueError("node count must be non-negative")
         pairs = list(edges)
-        uv = np.array(pairs)
-        if uv.dtype != np.int64:
-            # no edges, or endpoints numpy does not read as int64: read each
-            # as an integer, one beyond int64 clamped to -1 or n (out of range)
-            uv = np.array([[min(max(operator.index(x), -1), n) for x in pair] for pair in pairs],
-                          dtype=np.int64)
+        try:
+            uv = np.array(pairs)
+        except ValueError:  # entries of unequal lengths
+            uv = None
+        if uv is None or uv.dtype != np.int64 or uv.shape[1:] != (2,):
+            # no edges, entries that are not pairs, or endpoints numpy does
+            # not read as int64: read each entry as two integers
+            uv = np.array([_endpoints(pair, n) for pair in pairs], dtype=np.int64)
         u, v = uv.reshape(-1, 2).T
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad = outside | (u == v)

@@ -189,6 +189,10 @@ def test_compute_summary_sidecar(shared_files, tmp_path):
     assert payload["graph"]["nodes"] == 10
     assert payload["iteration"]["iterations_run"] == payload["k"] == 8
     assert payload["na_pairs"] == 0
+    # the per-iteration deltas are the library report's, bit for bit
+    g, _ = load_graph_files(edge, meta)
+    _, report = compute(g, MeasureConfig("crank", k_max=8, epsilon=1e-12))
+    assert payload["iteration"]["max_delta_per_iteration"] == list(report.max_delta_per_iteration)
 
 
 @pytest.mark.parametrize("fail", ["csv", "summary", "interrupt"])

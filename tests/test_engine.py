@@ -9,18 +9,15 @@ from citesim.engine import (
     IdentityCheck,
     MeasureConfig,
     ReductionReport,
-    amsler,
     cocitation,
     compute,
     converge,
-    coupling,
     crank_jaccard,
     iterate_pairwise,
     iteration_scores,
     na_mask,
     reduction_check,
     top_k,
-    write_iteration_csv,
 )
 from citesim.errors import ConfigError
 from citesim.graph import CitationGraph
@@ -99,28 +96,28 @@ def test_shared_citer_counts(shared_graph):
 
 def test_shared_reference_counts(shared_graph):
     g = shared_graph
-    m = coupling(g, MeasureConfig("coupling", "raw_count"))
+    m, _ = compute(g, MeasureConfig("coupling", "raw_count"))
     assert m.get(g.id_of("e"), g.id_of("f")) == 1.0
-    mj = coupling(g, MeasureConfig("coupling", "jaccard"))
+    mj, _ = compute(g, MeasureConfig("coupling", "jaccard"))
     assert mj.get(g.id_of("e"), g.id_of("f")) == 1.0
 
 
 def test_diagonal_is_one_even_for_raw_counts(shared_graph):
     # node i cites two papers; its raw self-intersection count would be 2
-    m = coupling(shared_graph, MeasureConfig("coupling", "raw_count"))
+    m, _ = compute(shared_graph, MeasureConfig("coupling", "raw_count"))
     for p in range(shared_graph.n):
         assert m.get(p, p) == 1.0
 
 
 def test_blend_collapses_to_its_ends(shared_graph):
     g = shared_graph
-    m = amsler(g, MeasureConfig("amsler", "raw_count"))
+    m, _ = compute(g, MeasureConfig("amsler", "raw_count"))
     assert m.get(g.id_of("e"), g.id_of("f")) == 1.0
     for mode in ("raw_count", "jaccard"):
-        all_in = amsler(g, MeasureConfig("amsler", mode, lam=1.0))
+        all_in, _ = compute(g, MeasureConfig("amsler", mode, lam=1.0))
         assert all_in.same_bits(cocitation(g, MeasureConfig("cocitation", mode)))
-        all_out = amsler(g, MeasureConfig("amsler", mode, lam=0.0))
-        assert all_out.same_bits(coupling(g, MeasureConfig("coupling", mode)))
+        all_out, _ = compute(g, MeasureConfig("amsler", mode, lam=0.0))
+        assert all_out.same_bits(compute(g, MeasureConfig("coupling", mode))[0])
 
 
 def test_one_shot_measures_match_oracle(gap_graph):
@@ -128,9 +125,9 @@ def test_one_shot_measures_match_oracle(gap_graph):
     for mode in ("raw_count", "jaccard"):
         m = cocitation(g, MeasureConfig("cocitation", mode))
         assert oracles.max_abs_diff(m, oracles.shared_count_scores(g, "in", mode)) == 0.0
-        m = coupling(g, MeasureConfig("coupling", mode))
+        m, _ = compute(g, MeasureConfig("coupling", mode))
         assert oracles.max_abs_diff(m, oracles.shared_count_scores(g, "out", mode)) == 0.0
-        m = amsler(g, MeasureConfig("amsler", mode, lam=0.25))
+        m, _ = compute(g, MeasureConfig("amsler", mode, lam=0.25))
         assert (
             oracles.max_abs_diff(m, oracles.blend_count_scores(g, 0.25, mode)) <= 1e-15
         )
@@ -470,17 +467,6 @@ def test_thread_count_does_not_change_bits():
     one = cocitation(g, MeasureConfig("cocitation"), threads=1)
     four = cocitation(g, MeasureConfig("cocitation"), threads=4)
     assert one.same_bits(four)
-
-
-def test_iteration_csv(tmp_path, shared_graph):
-    cfg = MeasureConfig("crank", "jaccard", k_max=3, epsilon=1e-300)
-    _, report = crank_jaccard(shared_graph, cfg)
-    path = tmp_path / "trace.csv"
-    write_iteration_csv(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,max_delta"
-    assert len(lines) == 4
-    assert float(lines[1].split(",")[1]) == report.max_delta_per_iteration[0]
 
 
 def test_each_run_builds_each_gather_plan_once(monkeypatch):

@@ -9,13 +9,11 @@ from citesim import evaluate, fixtures
 from citesim.cli import _write_topk
 from citesim.engine import (
     MEASURES,
-    IterationReport,
     MeasureConfig,
     TopKEntry,
     compute,
     crank_jaccard,
     top_k,
-    write_iteration_csv,
 )
 from citesim.errors import ConfigError, DataError
 from citesim.evaluate import (
@@ -69,7 +67,7 @@ def test_load_corpus_resolves_fields(tmp_path, shared_graph):
     assert corpus.fields["alpha"] == frozenset(
         shared_graph.id_of(x) for x in "abc"
     )
-    assert corpus.query_count() == 5
+    assert corpus.fields["beta"] == frozenset(shared_graph.id_of(x) for x in "de")
     assert report.unresolved == {} and report.dropped_fields == ()
 
 
@@ -544,7 +542,7 @@ def test_cases_csv_renders_na(tmp_path, gap_graph, gap_ids):
 
 def test_result_files_have_pinned_bytes(tmp_path):
     # the five result tables and the metadata fixture: CRLF line ends, quotes
-    # only where a field needs them; the matrix and iteration CSVs: LF
+    # only where a field needs them; the matrix CSV: LF
     meta = [PaperMeta("a", "Links, and ranks", 1999), PaperMeta("b", 'Say "hi"'),
             PaperMeta("c", "", 2001)]
     g = CitationGraph.from_edges(3, [(0, 1), (2, 1)], meta)
@@ -567,8 +565,6 @@ def test_result_files_have_pinned_bytes(tmp_path):
         "top.csv": lambda path: _write_topk(
             g, [TopKEntry(0, 0.5), TopKEntry(2, 0.0, zero_fill=True)], path),
         "matrix.csv": lambda path: write_matrix_csv(mat, path),
-        "iterations.csv": lambda path: write_iteration_csv(
-            IterationReport(2, True, (0.5, 1e-05)), path),
     }
     expected = {
         "meta.csv": b'external_id,title,year\r\na,"Links, and ranks",1999\r\n'
@@ -586,7 +582,6 @@ def test_result_files_have_pinned_bytes(tmp_path):
         "top.csv": b'rank,external_id,score,zero_fill,title\r\n'
                    b'1,a,0.5,0,"Links, and ranks"\r\n2,c,0,1,\r\n',
         "matrix.csv": b"p,q,score\n0,0,1\n0,1,0.5\n1,1,1\n2,2,1\n",
-        "iterations.csv": b"iteration,max_delta\n1,0.5\n2,1.0000000000000001e-05\n",
     }
     for name, write in writes.items():
         write(tmp_path / name)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,14 @@ def test_from_edges_is_strict():
                 CitationGraph.from_edges(3, edges)
     assert CitationGraph.from_edges(3, [(True, 2)]).edges == {(1, 2)}
     assert CitationGraph.from_edges(3, [(True, False)]).edges == {(1, 0)}
+    # an entry that is not two endpoints is named, never re-paired with the next
+    for n, edges, first in ((6, [(0, 1, 2), (3, 4, 5)], "(0, 1, 2)"),
+                            (4, [0, 1, 2, 3], "0"),
+                            (6, [(0,), (1,)], "(0,)"),
+                            (6, np.array([[0, 1, 2], [3, 4, 5]]), "array([0, 1, 2])"),
+                            (6, [[0, 1], [2]], "[2]")):
+        with pytest.raises(DataError, match=f"^edge {re.escape(first)} is not a pair of endpoints$"):
+            CitationGraph.from_edges(n, edges)
 
 
 def test_star_graph_needs_a_referrer():

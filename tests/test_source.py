@@ -8,7 +8,9 @@ leaves no dead import behind.  No module calls numpy at import, apart from
 masks are built at first use.  For the same reason a fresh
 ``import citesim.cli`` loads neither ``citesim.fixtures`` nor
 ``numpy.random``, and none of ``dataclasses``, ``queue``, ``pathlib`` or
-``concurrent.futures`` beyond what numpy loads itself.  The project's
+``concurrent.futures`` beyond what numpy loads itself.  Every name in
+``citesim.__all__`` resolves on the package, once, and ``from citesim
+import *`` binds exactly those names.  The project's
 version in ``pyproject.toml`` is ``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
 ``_scores`` or ``_na`` store, so the store's layout is that module's alone,
 and only ``SimilarityMatrix.__init__`` assigns to the store, one of its
@@ -204,6 +206,16 @@ def test_only_paper_id_raises_the_paper_id_range_message():
     found = [(name, scope) for name in MODULES for scope, node in _raises(_tree(name))
              if re.search(r"paper id \{.*\} out of range", ast.unparse(node))]
     assert found == [("graph.py", "paper_id")]
+
+
+def test_every_public_name_resolves_once():
+    # a name dropped from the imports but left in __all__ would break
+    # ``from citesim import *`` with nothing else noticing
+    assert [name for name in citesim.__all__ if not hasattr(citesim, name)] == []
+    assert len(set(citesim.__all__)) == len(citesim.__all__)
+    star = {}
+    exec("from citesim import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(citesim.__all__)
 
 
 def test_the_package_version_is_the_project_version():
