@@ -64,11 +64,11 @@ row blocks from a shared queue, last first; ``threads`` is first capped at
 the number of row blocks, so a small graph starts no idle workers.  Each
 thread sums its blocks in buffers of its own, allocated once per run
 (:func:`_block_pool`).  Results are bit-identical for any ``threads``
-value.  A block has 64 rows, many short numpy calls that hold the
-interpreter lock; so with helpers, a pass over a lower triangle grows its
-blocks to 64 x min(n, 600) cells (:func:`_row_blocks`).  On a 2-core
-x86-64 host, two threads ran compute 1.8-1.9x as fast as one at n=2400,
-and at n=600 crank took 51 ms against 64 ms, prank 55 against 63 ms.
+value.  A block has 64 rows, the last one fewer, whatever the thread
+count (:func:`_row_blocks`).  On a 2-core x86-64 host, two threads ran
+compute 1.8x as fast as one at n=2400.  At n=600, where a block is many
+short numpy calls that hold the interpreter lock, crank took 79 ms against
+93 ms, and prank 97 against 94 ms.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -81,7 +81,6 @@ import warnings
 from collections import deque
 from contextlib import closing, contextmanager
 from functools import cache, partial, reduce
-from math import isqrt
 from operator import iand, index
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -195,55 +194,33 @@ class IterationReport(NamedTuple):
 # -- deterministic linear algebra ------------------------------------------
 
 # Products run in blocks of output rows, the unit of work that --threads
-# shares out: _BLOCK_ROWS rows, or, over a lower triangle that threads
-# share, up to _LOWER_CELLS cells (_row_blocks).  Each output element is one
-# sum in the order of its plan's gather indices, whatever block or thread
-# computes it, so the block layout changes no bit.  With blocks of 300 rows,
-# compute at n=600 on one thread took 1.19-1.25x as long for crank and
-# 1.11-1.16x for prank, as a block's accumulator and gathers outgrow the
-# cache; _LOWER_CELLS, one 64-row block at n=600 (300 KB), keeps them in it.
+# shares out.  Each output element is one sum in the order of its plan's
+# gather indices, whatever block or thread computes it, so the block layout
+# changes no bit.  With blocks of 300 rows, compute at n=600 on one thread
+# took 1.19-1.25x as long for crank and 1.11-1.16x for prank, as a block's
+# accumulator and gathers outgrow the cache; a 64-row block at n=600
+# (300 KB) stays in it.
 _BLOCK_ROWS = 64
-_LOWER_CELLS = _BLOCK_ROWS * 600
 
 
-# A block has _BLOCK_ROWS rows (the last one fewer).  In a pass over a
-# lower triangle (rows r0:r1, columns :r1) that threads share, a block then
-# grows while its (r1 - r0) * r1 cells stay within _BLOCK_ROWS * min(n,
-# 600), so that the blocks near the diagonal are not too short to share: at
-# n=600 six blocks, (0, 195) to (556, 600), instead of ten.  Past row 600
-# the blocks keep _BLOCK_ROWS rows.  Every block has (r1 - r0) * r1 <=
-# _BLOCK_ROWS * n, so it fits _block_pool's buffers.
-#
-# One thread keeps _BLOCK_ROWS rows: a grown block also sums the cells
-# above the diagonal in its columns r0:r1, 9% more cells in the first 600
-# rows, and on one thread that cost more than the fewer numpy calls saved
-# (prank at n=1200 +0.9%, simrank at n=600 +1.1%).  Without the 600-row
-# cap, blocks of up to _BLOCK_ROWS * n cells left the cache at n=2400:
-# prank on two threads took 833 against 806 ms, simrank 507 against 484.
-def _row_blocks(n: int, lower: bool) -> Iterator[tuple]:
-    """The ``(r0, r1)`` row blocks of a plan over n rows, in order; grown
-    by their cells with ``lower``."""
-    r0, cap = 0, min(_LOWER_CELLS, _BLOCK_ROWS * n) * lower
-    while r0 < n:
-        # the largest r1 with (r1 - r0) * r1 <= cap
-        r1 = min(n, max(r0 + _BLOCK_ROWS, (r0 + isqrt(r0 * r0 + 4 * cap)) // 2))
-        yield r0, r1
-        r0 = r1
+def _row_blocks(n: int) -> Iterator[tuple]:
+    """The ``(r0, r1)`` row blocks of a plan over n rows, in order:
+    _BLOCK_ROWS rows each, the last one fewer."""
+    return ((r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS))
 
 
-def _plan(lanes, lower=False) -> list:
+def _plan(lanes) -> list:
     """Gather plan of an operator, built once and reused by every product.
 
     The operator is given as a tuple of lanes, each CSR ``(indptr,
     indices)`` over the same rows.  The plan is a list of blocks ``(r0, r1,
-    steps)`` over the :func:`_row_blocks` of its rows (``lower`` for a pass
-    over a lower triangle that threads share); per lane, ``steps`` holds the
-    block's rows by descending neighbor count (so that the rows with more
-    than t neighbors are a prefix) and, for each neighbor slot t, the ids
-    those rows name in that slot.
+    steps)`` over the :func:`_row_blocks` of its rows; per lane, ``steps``
+    holds the block's rows by descending neighbor count (so that the rows
+    with more than t neighbors are a prefix) and, for each neighbor slot t,
+    the ids those rows name in that slot.
     """
     blocks = []
-    for r0, r1 in _row_blocks(lanes[0][0].shape[0] - 1, lower):
+    for r0, r1 in _row_blocks(lanes[0][0].shape[0] - 1):
         steps = []
         for indptr, indices in lanes:
             order = np.argsort(indptr[r0:r1] - indptr[r0 + 1:r1 + 1], kind="stable")
@@ -287,18 +264,18 @@ def _block_pool(threads: int, n: int):
     no more threads than that are used, whatever ``threads`` asks for.  The
     calling thread and ``threads - 1`` helpers of one executor take blocks
     from a shared queue: a helper that wakes late takes fewer blocks instead
-    of holding the product up.  Blocks are queued last first, so that the
-    small ones of a pass over a lower triangle (rows r0:r1, columns :r1)
-    are left for the end and the threads finish together: at n=600 on 2
-    threads, crank's compute went from 53.7 to 50.7 ms and prank's from
-    67.5 to 63.2 ms, with 64-row blocks.  The executor is shut down
+    of holding the product up.  Blocks are queued last first: in a pass
+    over a lower triangle (rows r0:r1, columns :r1) the last blocks are the
+    largest, so the small ones are left for the end and the threads finish
+    together: at n=600 on 2 threads, crank's compute went from 53.7 to
+    50.7 ms and prank's from 67.5 to 63.2 ms.  The executor is shut down
     when the ``with`` block ends.  Without helpers (one thread, or at most
     one block) there is no executor, and :mod:`concurrent.futures` is not
     even imported: the calling thread takes every block.  A ``threads``
     that is not an integer >= 1 raises :class:`ConfigError`.
 
     ``each_block`` returns what ``fn`` returned for each block, in no
-    particular order; ``each_block.shared`` says whether helpers share it.
+    particular order.
 
     ``scratch(slot, rows, cols)`` is a contiguous rows x cols view of one of
     the calling thread's block buffers.  Each thread allocates a slot's
@@ -341,7 +318,6 @@ def _block_pool(threads: int, n: int):
                 helper.result()
         return results
 
-    each_block.shared = helpers > 0
     if helpers <= 0:
         yield each_block
         return
@@ -389,8 +365,7 @@ def _lanes(op) -> tuple:
 def _shared_counts(op, each_block, out: np.ndarray, w=1.0, jaccard=False, plan=None):
     """Add w * |row p & row q| of op, raw or by :func:`_jaccard`, into rows
     r0:r1, columns :r1 of ``out`` for each block of ``plan`` (by default
-    ``_plan((op,), each_block.shared)``): the lower triangle and the
-    diagonal.
+    ``_plan((op,))``): the lower triangle and the diagonal.
 
     The counts sum rows of a one-byte 0/1 transpose: small integers, exact
     in any order and in any ``out`` type that holds the largest degree.
@@ -406,7 +381,7 @@ def _shared_counts(op, each_block, out: np.ndarray, w=1.0, jaccard=False, plan=N
         counts *= w
         np.add(out[r0:r1, :r1], counts, out[r0:r1, :r1], casting="unsafe")
 
-    each_block(block, plan or _plan((op,), each_block.shared))
+    each_block(block, plan or _plan((op,)))
 
 
 def _degrees(op) -> np.ndarray:
@@ -416,8 +391,8 @@ def _degrees(op) -> np.ndarray:
 @cache
 def _upper() -> np.ndarray:
     # built at first use: numpy work at import grows every process's RSS;
-    # it covers the largest block of :func:`_row_blocks`
-    return np.triu(np.ones((isqrt(_LOWER_CELLS),) * 2, dtype=bool), 1)
+    # it covers the diagonal square of any block of :func:`_row_blocks`
+    return np.triu(np.ones((_BLOCK_ROWS,) * 2, dtype=bool), 1)
 
 
 def _close_rows(square: np.ndarray, r0: int, r1: int):
@@ -467,7 +442,7 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
     with _block_pool(threads, g.n) as each_block:
         for view, w in _terms(cfg):
             _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
-    for r0, r1 in _row_blocks(g.n, False):
+    for r0, r1 in _row_blocks(g.n):
         _close_rows(scores, r0, r1)
     return SimilarityMatrix(scores, na_mask(g, cfg), 0, cfg.bounded)
 
@@ -534,9 +509,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         und = g.csr(view)
         deg = _degrees(und)
         inv_deg = _invert(_degrees(und))
-        # 64-row blocks for finish and the setup counts too: blocks sized by
-        # their cells there took crank at 2 threads from 50.5 to 49.1 ms at
-        # n=600 but from 156.9 to 158.4 ms at n=1200, with a second plan
+        # one plan serves the setup counts, both products and finish
         plan = _plan((und,))
         # |L(p) & L(q)| <= the largest degree, in the smallest unsigned type
         # that holds it; finish reads only the block parts the pass fills
@@ -598,7 +571,7 @@ def _make_step(g: CitationGraph, cfg: MeasureConfig, each_block) -> Callable:
         degrees, codes = np.unique(_degrees(op), return_inverse=True)
         # A's nonzeros, (column, row): where A @ I, written into x.T, is 1
         ones = (op[1], csr_rows(op))
-        prepared.append((_plan((op,)), _plan(_lanes(op), each_block.shared), w,
+        prepared.append((_plan((op,)), _plan(_lanes(op)), w,
                          _invert(np.outer(degrees, degrees)), codes, ones))
     x = np.empty((n, n))
 
@@ -679,7 +652,7 @@ def iteration_scores(
         if prev.shape != (g.n, g.n):
             raise ValueError(f"initial scores must be {g.n}x{g.n}")
         # the recursions read one float per pair: prev's upper triangle wins
-        for r0, r1 in _row_blocks(g.n, False):
+        for r0, r1 in _row_blocks(g.n):
             _close_rows(prev.T, r0, r1)
     with _block_pool(threads, g.n) as each_block:
         step = _make_step(g, cfg, each_block)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import operator
+from collections.abc import Mapping, Set
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -118,10 +119,13 @@ def paper_id(p, n: int) -> PaperId:
 def _endpoints(edge, n: int) -> tuple[int, int]:
     """An edge's two endpoints as integers, one beyond int64 clamped to -1
     or n (out of range)."""
+    pair = not isinstance(edge, (Set, Mapping))  # no citing end, only an order
     try:
         u, v = edge
     except (TypeError, ValueError):
-        raise DataError(f"edge {edge!r} is not a pair of endpoints") from None
+        pair = False
+    if not pair:
+        raise DataError(f"edge {edge!r} is not a pair of endpoints")
     return min(max(operator.index(u), -1), n), min(max(operator.index(v), -1), n)
 
 
@@ -179,10 +183,11 @@ class CitationGraph:
     ) -> "CitationGraph":
         """Build a graph over nodes ``0..n-1`` from integer edge pairs.
 
-        Rejects entries that are not two endpoints, self-loops, duplicates,
-        and out-of-range endpoints; use :func:`load_graph` for streams that
-        still need cleaning.  The error names the first edge, in the given
-        order, that breaks a rule.  Every endpoint must be an integer
+        Rejects entries that are not two endpoints (a set or a mapping is
+        not: it has no citing end), self-loops, duplicates, and out-of-range
+        endpoints; use :func:`load_graph` for streams that still need
+        cleaning.  The error names the first edge, in the given order, that
+        breaks a rule.  Every endpoint must be an integer
         (``operator.index``): a float or a string raises TypeError, and a
         bool reads as 0 or 1.  The constructor supplies the default ``meta``
         and checks its length.

@@ -474,8 +474,7 @@ def test_each_run_builds_each_gather_plan_once(monkeypatch):
     # prank builds an ascending and a two-lane plan per view
     built = []
     plan = engine._plan
-    monkeypatch.setattr(engine, "_plan",
-                        lambda lanes, lower=False: built.append(len(lanes)) or plan(lanes, lower))
+    monkeypatch.setattr(engine, "_plan", lambda lanes: built.append(len(lanes)) or plan(lanes))
     g = fixtures.random_graph(70, 5 / 70, 1)
     for cfg, want in ((MeasureConfig("crank", k_max=3), [1]),
                       (MeasureConfig("prank", k_max=3), [1, 2, 1, 2])):
@@ -486,57 +485,45 @@ def test_each_run_builds_each_gather_plan_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 300, 599, 600, 601, 1200, 2401])
 def test_row_blocks_tile_the_rows_within_their_cells(n):
-    # a block has 64 rows, or fewer at the end; a lower-triangle block (rows
-    # r0:r1, columns :r1) grows while it holds at most 64 * min(n, 600)
-    # cells.  Each fits the block buffers, 64 * n floats, and _upper()
-    for lower in (False, True):
-        blocks = list(engine._row_blocks(n, lower))
-        ends = [0] + [r1 for _, r1 in blocks]
-        assert [r0 for r0, _ in blocks] == ends[:-1] and ends[-1] == n
-        for r0, r1 in blocks:
-            h = r1 - r0
-            assert h >= min(64, n - r0)
-            assert h * r1 <= 64 * n
-            assert h <= 64 or (lower and h * r1 <= 64 * min(n, 600))
-            assert h <= engine._upper().shape[0]
-        if not lower:
-            assert all(r1 - r0 == min(64, n - r0) for r0, r1 in blocks)
-    if n == 600:
-        assert list(engine._row_blocks(n, True)) == [(0, 195), (195, 316), (316, 409), (409, 487),
-                                                     (487, 556), (556, 600)]
+    # a block has 64 rows, or fewer at the end, in every pass; so a
+    # lower-triangle block (rows r0:r1, columns :r1) fits the block buffers,
+    # 64 * n floats, and _upper() covers its diagonal square
+    blocks = list(engine._row_blocks(n))
+    ends = [0] + [r1 for _, r1 in blocks]
+    assert [r0 for r0, _ in blocks] == ends[:-1] and ends[-1] == n
+    assert all(r1 - r0 == min(64, n - r0) for r0, r1 in blocks)
+    for r0, r1 in blocks:
+        assert (r1 - r0) * r1 <= 64 * n
+        assert r1 - r0 <= engine._upper().shape[0]
 
 
 def test_row_block_layout_changes_no_bit(monkeypatch):
-    # each element sums its row's gathers in plan order whatever block holds
-    # the row, and the delta is a max: the cell-sized blocks of a threaded
-    # run give the bits and the reports of 64-row blocks.  One thread keeps
-    # 64-row blocks.  At n=660 the blocks past row 600 are 64 rows again
-    row_blocks = engine._row_blocks
-    asked = []
+    # every plan has the same blocks whatever the thread count, and each
+    # element is one sum in its plan's gather order, whatever thread takes
+    # its block: threads 1 and 3 give the same bits and reports
+    plan = engine._plan
+    built = []
 
-    def spy(n, lower):
-        asked.append(lower)
-        return row_blocks(n, lower)
+    def spy(lanes):
+        blocks = plan(lanes)
+        built.append([(r0, r1) for r0, r1, _ in blocks])
+        return blocks
 
-    def rows64(n, lower):
-        return [(r0, min(r0 + 64, n)) for r0 in range(0, n, 64)]
-
+    monkeypatch.setattr(engine, "_plan", spy)
     configs = [MeasureConfig("simrank", k_max=4), MeasureConfig("prank", k_max=4),
                MeasureConfig("crank", "pairwise", k_max=4),
                MeasureConfig("cocitation", "jaccard"), MeasureConfig("amsler")]
     for fields in (5, 11):
         g = fixtures.clustered_citation_graph(fields, 60, 0.13, 0.004, 3)[0]
-        assert list(row_blocks(g.n, True)) != rows64(g.n, True)
         for cfg in configs:
-            for threads in (1, 3):
-                asked.clear()
-                monkeypatch.setattr(engine, "_row_blocks", spy)
-                base, base_report = compute(g, cfg, threads)
-                assert any(asked) == (threads > 1), (cfg.label(), threads)
-                monkeypatch.setattr(engine, "_row_blocks", rows64)
-                other, other_report = compute(g, cfg, threads)
-                assert base.same_bits(other), (g.n, cfg.label(), threads)
-                assert base_report == other_report, (g.n, cfg.label(), threads)
+            built.clear()
+            base, base_report = compute(g, cfg, 1)
+            base_plans = list(built)
+            built.clear()
+            other, other_report = compute(g, cfg, 3)
+            assert base_plans and built == base_plans, (g.n, cfg.label())
+            assert base.same_bits(other), (g.n, cfg.label())
+            assert base_report == other_report, (g.n, cfg.label())
 
 
 def test_compute_peak_memory_in_squares():

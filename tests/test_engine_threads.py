@@ -7,8 +7,7 @@ import threading
 from citesim import engine, fixtures
 from citesim.engine import MeasureConfig, compute, iteration_scores
 
-# 300 papers: five 64-row blocks per full-row product and four cell-sized
-# blocks per lower-triangle pass, so the helpers get blocks to take
+# 300 papers: five 64-row blocks per product, for the helpers to take
 GRAPH = fixtures.random_graph(300, 5 / 300, seed=5)
 
 
@@ -34,9 +33,8 @@ def test_closing_the_iteration_early_shuts_its_pool_down():
 
 
 def test_workers_are_capped_at_the_row_blocks(monkeypatch):
-    # 130 papers make three 64-row blocks per full-row product (two per
-    # lower-triangle pass): beyond the calling thread, two workers are all
-    # the blocks can use, whatever --threads says
+    # 130 papers make three 64-row blocks per product: beyond the calling
+    # thread, two workers are all the blocks can use, whatever --threads says
     small = fixtures.random_graph(130, 5 / 130, seed=5)
     before = threading.active_count()
     peak = before

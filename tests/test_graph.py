@@ -309,7 +309,11 @@ def test_from_edges_is_strict():
                             (4, [0, 1, 2, 3], "0"),
                             (6, [(0,), (1,)], "(0,)"),
                             (6, np.array([[0, 1, 2], [3, 4, 5]]), "array([0, 1, 2])"),
-                            (6, [[0, 1], [2]], "[2]")):
+                            (6, [[0, 1], [2]], "[2]"),
+                            # no citing end: a set or a mapping gives only an iteration order
+                            (3, [{2, 1}], "{1, 2}"),
+                            (3, [(0, 1), frozenset({2, 1})], "frozenset({1, 2})"),
+                            (5, [{0: "a", 4: "b"}], "{0: 'a', 4: 'b'}")):
         with pytest.raises(DataError, match=f"^edge {re.escape(first)} is not a pair of endpoints$"):
             CitationGraph.from_edges(n, edges)
 

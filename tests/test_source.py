@@ -10,11 +10,13 @@ masks are built at first use.  For the same reason a fresh
 ``numpy.random``, and none of ``dataclasses``, ``queue``, ``pathlib`` or
 ``concurrent.futures`` beyond what numpy loads itself.  Every name in
 ``citesim.__all__`` resolves on the package, once, and ``from citesim
-import *`` binds exactly those names.  The project's
-version in ``pyproject.toml`` is ``citesim.__version__``.  Only ``matrix.py`` reads a ``SimilarityMatrix``'s
-``_scores`` or ``_na`` store, so the store's layout is that module's alone,
-and only ``SimilarityMatrix.__init__`` assigns to the store, one of its
-cells or one of its attributes, so a matrix is made once and never written.
+import *`` binds exactly those names.  The project's version in
+``pyproject.toml`` is ``citesim.__version__``, and each of its
+``[project.scripts]`` entries names a callable that imports.  Only
+``matrix.py`` reads a ``SimilarityMatrix``'s ``_scores`` or ``_na`` store,
+so the store's layout is that module's alone, and only
+``SimilarityMatrix.__init__`` assigns to the store, one of its cells or one
+of its attributes, so a matrix is made once and never written.
 Only ``graph.paper_id`` raises ``paper id … out of range``, so every method
 that takes a paper id reads it by one rule.
 
@@ -28,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib.metadata import EntryPoint
 
 import pytest
 
@@ -36,6 +39,7 @@ import citesim
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "citesim")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "citesim"}
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(SRC)), "pyproject.toml")
 
 
 def _tree(name):
@@ -220,7 +224,17 @@ def test_every_public_name_resolves_once():
 
 def test_the_package_version_is_the_project_version():
     # a regex, not tomllib, which Python 3.10 lacks
-    with open(os.path.join(os.path.dirname(os.path.dirname(SRC)), "pyproject.toml"),
-              encoding="utf-8") as fh:
+    with open(PYPROJECT, encoding="utf-8") as fh:
         project = re.search(r"^\[project\]$(.*?)^(?:\[|\Z)", fh.read(), re.M | re.S).group(1)
     assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [citesim.__version__]
+
+
+def test_every_project_script_names_a_callable():
+    # only an installed ``citesim`` command reads these entries, so a
+    # renamed entry function would break nothing else
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        assert callable(EntryPoint(name, target, "console_scripts").load()), name
