@@ -57,18 +57,18 @@ passes, then closes its row blocks as a recursion does.  The
 :class:`SimilarityMatrix` a run returns keeps its closed square, uncopied
 and read-only.
 
-A run (one ``iteration_scores`` generator, or one call of a one-shot
-measure) opens at most one thread pool and shuts it down when it ends.
-With ``threads > 1`` the calling thread and ``threads - 1`` workers take
-row blocks from a shared queue, last first; ``threads`` is first capped at
-the number of row blocks, so a small graph starts no idle workers.  Each
-thread sums its blocks in buffers of its own, allocated once per run
-(:func:`_block_pool`).  Results are bit-identical for any ``threads``
-value.  A block has 64 rows, the last one fewer, whatever the thread
-count (:func:`_row_blocks`).  On a 2-core x86-64 host, two threads ran
-compute 1.8x as fast as one at n=2400.  At n=600, where a block is many
-short numpy calls that hold the interpreter lock, crank took 79 ms against
-93 ms, and prank 97 against 94 ms.
+Each pass of a run (one ``iteration_scores`` generator, or one call of a
+one-shot measure) takes its row blocks from one queue, last first, in the
+calling thread and ``threads - 1`` helper threads that the pass starts and
+joins (:func:`_block_pool`); ``threads`` is first capped at the number of
+row blocks, so a small graph starts no idle helpers, and one thread starts
+none.  Each worker sums its blocks in buffers of its own, allocated once
+per run.  Results are bit-identical for any ``threads`` value.  A block
+has 64 rows, the last one fewer, whatever the thread count
+(:func:`_row_blocks`).  On a 2-core x86-64 host, two threads ran compute
+1.8x as fast as one at n=2400.  At n=600, where a block is many short
+numpy calls that hold the interpreter lock, crank took 79 ms against 93
+ms, and prank 97 against 94 ms.
 
 Pairs whose required neighbor set is empty cannot be scored by the directed
 recursions; they are marked N/A (and read as 0.0).  The undirected Jaccard
@@ -79,8 +79,8 @@ from __future__ import annotations
 import threading
 import warnings
 from collections import deque
-from contextlib import closing, contextmanager
-from functools import cache, partial, reduce
+from contextlib import closing
+from functools import cache, reduce
 from operator import iand, index
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -253,78 +253,74 @@ def _block_sums(steps, src: np.ndarray, dest: np.ndarray, acc: np.ndarray) -> np
     return dest
 
 
-@contextmanager
 def _block_pool(threads: int, n: int):
-    """Yield ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1, steps,
-    scratch, *args)`` for every block of ``plan`` and returns when all are
-    done.
+    """Return ``each_block(fn, plan, *args)``, which calls ``fn(r0, r1,
+    steps, scratch, *args)`` for every block of ``plan`` and returns when
+    all are done.
 
-    One run over n nodes opens one of these and passes it down to all its
-    products, whose plans have at most ceil(n / _BLOCK_ROWS) blocks each;
-    no more threads than that are used, whatever ``threads`` asks for.  The
-    calling thread and ``threads - 1`` helpers of one executor take blocks
-    from a shared queue: a helper that wakes late takes fewer blocks instead
-    of holding the product up.  Blocks are queued last first: in a pass
-    over a lower triangle (rows r0:r1, columns :r1) the last blocks are the
-    largest, so the small ones are left for the end and the threads finish
-    together: at n=600 on 2 threads, crank's compute went from 53.7 to
-    50.7 ms and prank's from 67.5 to 63.2 ms.  The executor is shut down
-    when the ``with`` block ends.  Without helpers (one thread, or at most
-    one block) there is no executor, and :mod:`concurrent.futures` is not
-    even imported: the calling thread takes every block.  A ``threads``
-    that is not an integer >= 1 raises :class:`ConfigError`.
+    One run over n nodes makes one of these and passes it down to all its
+    passes, whose plans have ceil(n / _BLOCK_ROWS) blocks each; no more
+    threads than that are used, whatever ``threads`` asks for.  Each pass
+    queues its blocks and starts its own helpers, one fewer than the
+    workers, and the calling thread drains the queue with them, then joins
+    them: no thread outlives its pass.  A helper that starts late takes
+    fewer blocks instead of holding the pass up.  With one worker no helper
+    starts, and the calling thread takes every block.  A thread start and
+    join took 45 us (p90 59 us) on a 2-core x86-64 host; at n=600 a prank
+    run makes 38 passes and a crank run 29.  Blocks are taken last first:
+    in a pass over a lower triangle (rows r0:r1, columns :r1) the last
+    blocks are the largest, so the small ones are left for the end and the
+    threads finish together.  A block that raises, in any thread, empties
+    the queue: every worker stops after its current block, and the first
+    exception is raised once all are joined.  A ``threads`` that is not an
+    integer >= 1 raises :class:`ConfigError`.
 
     ``each_block`` returns what ``fn`` returned for each block, in no
     particular order.
 
     ``scratch(slot, rows, cols)`` is a contiguous rows x cols view of one of
-    the calling thread's block buffers.  Each thread allocates a slot's
-    buffer, room for _BLOCK_ROWS x n floats, at its first use in the run,
-    and keeps it until the run ends, so a product does not allocate one per
-    block; two threads never share one.
+    the worker's block buffers.  Each worker, the calling thread being the
+    first, allocates a slot's buffer, room for _BLOCK_ROWS x n floats, at
+    its first use in the run, and keeps it until the run ends, so a pass
+    does not allocate one per block; two workers never share one.
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    helpers = min(threads, -(-n // _BLOCK_ROWS)) - 1  # -1 when n is 0
-    local = threading.local()
-    pool = None
-
-    def scratch(slot, rows, cols):
-        buffers = local.__dict__.setdefault("buffers", {})
-        if slot not in buffers:
-            buffers[slot] = np.empty(_BLOCK_ROWS * n)
-        return buffers[slot][:rows * cols].reshape(rows, cols)
+    # per worker, its buffers by slot; one worker at n = 0, where no pass has a block
+    buffers = [{} for _ in range(max(1, min(threads, -(-n // _BLOCK_ROWS))))]
 
     def each_block(fn, plan, *args):
-        # the queue holds the calls, so drain refers to no square: a
-        # helper cancelled before it started stays in the pool's queue
-        # until a worker takes it, and would keep them alive meanwhile
-        jobs = deque(partial(fn, r0, r1, steps, scratch, *args) for r0, r1, steps in plan)
-        results = []
+        jobs = deque(plan)
+        results, errors = [], []
 
-        def drain():
-            while True:
-                try:
-                    job = jobs.pop()  # atomic, last block first
-                except IndexError:
-                    return
-                results.append(job())
+        def drain(mine):
+            def scratch(slot, rows, cols):
+                if slot not in mine:
+                    mine[slot] = np.empty(_BLOCK_ROWS * n)
+                return mine[slot][:rows * cols].reshape(rows, cols)
 
-        started = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-        for helper in started:
-            # a helper that has not started would find the queue empty
-            if not helper.cancel():
-                helper.result()
+            try:
+                while True:
+                    try:
+                        r0, r1, steps = jobs.pop()  # atomic, last block first
+                    except IndexError:
+                        return
+                    results.append(fn(r0, r1, steps, scratch, *args))
+            except BaseException as exc:  # an interrupt of the calling thread too
+                jobs.clear()
+                errors.append(exc)
+
+        helpers = [threading.Thread(target=drain, args=(mine,)) for mine in buffers[1:len(plan)]]
+        for helper in helpers:
+            helper.start()
+        drain(buffers[0])
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
         return results
 
-    if helpers <= 0:
-        yield each_block
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        yield each_block
+    return each_block
 
 
 def _spmm(plan, b: np.ndarray, out: np.ndarray, each_block) -> np.ndarray:
@@ -439,9 +435,9 @@ def _one_shot(g: CitationGraph, cfg: MeasureConfig, threads: int) -> SimilarityM
     buffers are live.
     """
     scores = np.zeros((g.n, g.n))
-    with _block_pool(threads, g.n) as each_block:
-        for view, w in _terms(cfg):
-            _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
+    each_block = _block_pool(threads, g.n)
+    for view, w in _terms(cfg):
+        _shared_counts(g.csr(view), each_block, scores, w, cfg.normalization == "jaccard")
     for r0, r1 in _row_blocks(g.n):
         _close_rows(scores, r0, r1)
     return SimilarityMatrix(scores, na_mask(g, cfg), 0, cfg.bounded)
@@ -633,10 +629,10 @@ def iteration_scores(
     Runs the full budget with no epsilon stop; callers wanting early
     termination break out themselves.  ``initial`` replaces the identity
     start (its diagonal is forced to 1).  Each yielded array is a new one
-    that no later step writes to, so it is safe to keep.  With
-    ``threads > 1`` the run owns one thread pool, shut down when the
-    generator is exhausted or closed.  ``_deltas``, a list, gets each
-    iteration's max |new - previous| appended before it is yielded.
+    that no later step writes to, so it is safe to keep.  Each pass joins
+    its helper threads before it returns, so none is left between steps.
+    ``_deltas``, a list, gets each iteration's max |new - previous|
+    appended before it is yielded.
 
     From an ``initial`` with tiny negative entries (about -1e-321),
     crank:jaccard iterates can hold ``-0.0``, where ``C`` times a tiny
@@ -654,13 +650,12 @@ def iteration_scores(
         # the recursions read one float per pair: prev's upper triangle wins
         for r0, r1 in _row_blocks(g.n):
             _close_rows(prev.T, r0, r1)
-    with _block_pool(threads, g.n) as each_block:
-        step = _make_step(g, cfg, each_block)
-        for k in range(1, cfg.k_max + 1):
-            prev, delta = step(prev, k == 1 and initial is None)
-            if _deltas is not None:
-                _deltas.append(delta)
-            yield k, prev
+    step = _make_step(g, cfg, _block_pool(threads, g.n))
+    for k in range(1, cfg.k_max + 1):
+        prev, delta = step(prev, k == 1 and initial is None)
+        if _deltas is not None:
+            _deltas.append(delta)
+        yield k, prev
 
 
 def _run_iterations(g, cfg, threads):

@@ -763,15 +763,17 @@ def test_interrupted_entry_exits_130_with_one_line(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "citesim: interrupted\n")
 
 
-def test_one_thread_runs_never_import_the_thread_pool(blocks_files, tmp_path):
+def test_no_run_imports_a_thread_pool(blocks_files, tmp_path):
+    # helpers are plain threads: neither thread count loads concurrent.futures
+    # or the logging it imports
     edge, meta = blocks_files
     code = ("import sys, citesim.cli; code = citesim.cli.main(sys.argv[1:]); "
-            "print(code, 'concurrent.futures' in sys.modules)")
-    for threads, loaded in (("1", "False"), ("2", "True")):
+            "print(code, 'concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+    for threads in ("1", "2"):
         proc = run_python("-c", code, "compute", "--graph", edge, "--meta", meta,
                           "--measure", "crank", "--threads", threads,
                           "--out", str(tmp_path / f"t{threads}.csv"))
-        assert proc.stdout.split() == ["0", loaded]
+        assert proc.stdout.split() == ["0", "False", "False"]
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 

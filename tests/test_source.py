@@ -92,8 +92,8 @@ def test_the_cli_never_loads_the_graph_generators():
 def test_the_cli_loads_no_standard_module_its_commands_do_without():
     # records are named tuples (dataclasses runs generated code per class),
     # the block queue is a deque, a corpus's stem comes from os.path, and
-    # only a run with helper threads loads the pool: numpy may load any of
-    # these itself, so only what citesim adds counts
+    # helpers are plain threads: numpy may load any of these itself, so only
+    # what citesim adds counts
     code = ("import sys, numpy; loaded = set(sys.modules); import citesim.cli; "
             "print(sorted({'dataclasses', 'queue', 'pathlib', 'concurrent.futures'}"
             " & (set(sys.modules) - loaded)))")
