@@ -2,7 +2,8 @@
 
 Each measure sums over one or two neighbor views, each with a weight: the
 in-links I(p), the out-links O(p), or the undirected view L(p) = I(p) | O(p).
-These ``(view, weight)`` terms are written once, in :func:`_terms`.
+These views are listed once per measure, in ``_MEASURES``, and
+:func:`_terms` pairs them with their weights.
 Non-iterative measures count shared neighbors in each view; iterative
 measures propagate scores through neighbor pairs until a fixed point, either
 with pairwise normalization (divide by |X(p)|*|X(q)| in each view X) or,
@@ -79,7 +80,6 @@ from __future__ import annotations
 import threading
 import warnings
 from collections import deque
-from contextlib import closing
 from functools import cache, reduce
 from operator import iand, index
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -90,37 +90,31 @@ from .errors import ConfigError
 from .graph import CitationGraph, csr_rows
 from .matrix import SimilarityMatrix
 
-# Per measure, the normalizations it supports; the first is its default.
-# Counting measures default to the raw set-intersection reading; the
+# Per measure: its normalizations, the default first; whether it iterates;
+# and the views its terms sum over, weighted (lam, 1 - lam) when there are
+# two.  Counting measures default to the raw set-intersection reading; the
 # undirected recursion defaults to its Jaccard form.
-_NORMS = {
-    "cocitation": ("raw_count", "jaccard"),
-    "coupling": ("raw_count", "jaccard"),
-    "amsler": ("raw_count", "jaccard"),
-    "simrank": ("pairwise",),
-    "rvs_simrank": ("pairwise",),
-    "prank": ("pairwise",),
-    "crank": ("jaccard", "pairwise"),
+_MEASURES = {
+    "cocitation": (("raw_count", "jaccard"), False, ("in",)),
+    "coupling": (("raw_count", "jaccard"), False, ("out",)),
+    "amsler": (("raw_count", "jaccard"), False, ("in", "out")),
+    "simrank": (("pairwise",), True, ("in",)),
+    "rvs_simrank": (("pairwise",), True, ("out",)),
+    "prank": (("pairwise",), True, ("in", "out")),
+    "crank": (("jaccard", "pairwise"), True, ("undirected",)),
 }
 
-MEASURES = tuple(_NORMS)
+MEASURES = tuple(_MEASURES)
 
 NORMALIZATIONS = ("raw_count", "jaccard", "pairwise")
 
-ITERATIVE_MEASURES = ("simrank", "rvs_simrank", "prank", "crank")
+ITERATIVE_MEASURES = tuple(m for m in MEASURES if _MEASURES[m][1])
 
 
 def _terms(cfg: MeasureConfig) -> list:
     """The ``(view, weight)`` terms that a measure sums over."""
-    return {
-        "cocitation": [("in", 1.0)],
-        "coupling": [("out", 1.0)],
-        "amsler": [("in", cfg.lam), ("out", 1.0 - cfg.lam)],
-        "simrank": [("in", 1.0)],
-        "rvs_simrank": [("out", 1.0)],
-        "prank": [("in", cfg.lam), ("out", 1.0 - cfg.lam)],
-        "crank": [("undirected", 1.0)],
-    }[cfg.measure]
+    views = _MEASURES[cfg.measure][2]
+    return list(zip(views, (cfg.lam, 1.0 - cfg.lam) if len(views) == 2 else (1.0,)))
 
 
 class _ConfigFields(NamedTuple):
@@ -145,14 +139,15 @@ class MeasureConfig(_ConfigFields):
                 lam: float = 0.5, k_max: int = 10, epsilon: float = 1e-4):
         if measure not in MEASURES:
             raise ConfigError(f"unknown measure {measure!r}")
+        norms = _MEASURES[measure][0]
         if normalization is None:
-            normalization = _NORMS[measure][0]
+            normalization = norms[0]
         if normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {normalization!r}")
-        if normalization not in _NORMS[measure]:
+        if normalization not in norms:
             raise ConfigError(
                 f"{measure} does not support {normalization} "
-                f"normalization (allowed: {', '.join(_NORMS[measure])})"
+                f"normalization (allowed: {', '.join(norms)})"
             )
         numbers = []
         for value, kind, valid, rule in (
@@ -661,10 +656,9 @@ def iteration_scores(
 def _run_iterations(g, cfg, threads):
     # the steps give their deltas, so only the last iterate is held here
     deltas = []
-    with closing(iteration_scores(g, cfg, threads, _deltas=deltas)) as steps:
-        for _, cur in steps:
-            if deltas[-1] < cfg.epsilon:
-                break
+    for _, cur in iteration_scores(g, cfg, threads, _deltas=deltas):
+        if deltas[-1] < cfg.epsilon:
+            break
     k_run = len(deltas)
     # N/A depends on the graph alone: built once the steps are done
     m = SimilarityMatrix(cur, na_mask(g, cfg), k_run, True)

@@ -167,13 +167,13 @@ def score_histogram(m: SimilarityMatrix) -> Histogram:
     """
     if not m.bounded:
         raise ConfigError(UNBOUNDED_HISTOGRAM)
-    scores, na = m.offdiag_packed()
+    # the scored off-diagonal pairs p < q
+    scores = m.dense_scores()[np.triu(~m.dense_na(), 1)]
     edges = np.arange(1, 10) / 10.0
-    idx = np.searchsorted(edges, scores[~na], side="right")
-    counts = np.bincount(idx, minlength=10)
+    counts = np.bincount(np.searchsorted(edges, scores, side="right"), minlength=10)
     return Histogram(
         buckets=tuple(int(c) for c in counts),
-        na=int(na.sum()),
+        na=m.na_count(),
         total_pairs=m.n * (m.n - 1) // 2,
     )
 

@@ -14,10 +14,10 @@ once and never written after: both arrays are read-only, row p of the
 square is every score against p, and the row and dense views hand out the
 store's own rows, uncopied.
 
-The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``),
-but :func:`write_matrix_csv` scans the upper triangle in row blocks of
-about :data:`_SCAN` cells and formats the scores it exports with numpy,
-:data:`_CHUNK` at a time, one uint8 line matrix and one write per chunk.
+The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``).
+Its cells are read by one scan, :func:`_exported`, in row blocks of about
+:data:`_SCAN` cells, and :func:`write_matrix_csv` formats each block's
+scores with numpy, one uint8 line matrix and one write per block.
 Every positive normal score in [1e-10, 2**53) is formatted by exact integer
 arithmetic:
 v = M * 2**E is scaled to the 17-digit quotient M * 5**(16-X) * 2**(E+16-X),
@@ -27,13 +27,12 @@ bytes are those of ``%``.  Any other exported score (below 1e-10, from 2**53
 up, inf) is formatted by ``%`` in its place.  A line is laid out in fixed
 columns, NUL wherever a field has no byte (an id's padding, a fraction's
 trailing zeros, a point with no digit after it), and written with every
-NUL dropped.  The temporaries peak at about 3 MB while n is at most
+NUL dropped.  The temporaries peak at about 1.9 MB while n is at most
 :data:`_SCAN`; beyond that a block is one row, and they grow with n.
 """
 from __future__ import annotations
 
 import csv
-from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -46,11 +45,10 @@ SCORE_FORMAT = "%.17g"
 
 ROW_DTYPE = np.dtype([("p", np.int64), ("q", np.int64), ("score", np.float64)])
 
-# write_matrix_csv: cells scanned per row block (a block has at least one
-# row), scores formatted per write, and the longest SCORE_FORMAT text of a
-# float64 ("2.2250738585072014e-308")
-_SCAN = 32768
-_CHUNK = 8192
+# the matrix CSV: cells scanned per row block (a block has at least one
+# row), and the longest SCORE_FORMAT text of a float64
+# ("2.2250738585072014e-308")
+_SCAN = 8192
 _SCORE_WIDTH = 23
 
 
@@ -132,22 +130,15 @@ class SimilarityMatrix:
     def dense_na(self) -> np.ndarray:
         return self._na
 
-    def offdiag_packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, na) over the n·(n-1)/2 unordered off-diagonal pairs,
-        p < q in row-major order."""
-        upper = ~np.tri(self.n, dtype=bool)
-        return self._scores[upper], self._na[upper]
-
     def na_count(self) -> int:
         """Number of unordered off-diagonal N/A pairs."""
         return int(np.count_nonzero(self._na)) // 2
 
     def entries_above(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (p, q, score) for each row :func:`write_matrix_csv` writes:
-        p <= q and score > 0, so never an N/A pair."""
-        for p, row in enumerate(self._scores):
-            keep = np.flatnonzero(row[p:] > 0.0)
-            yield from zip(repeat(p), (keep + p).tolist(), row[p:][keep].tolist())
+        """Yield (p, q, score) for each row :func:`write_matrix_csv` writes
+        (p <= q, score > 0), in its order: both read :func:`_exported`."""
+        for p, q, scores in _exported(self):
+            yield from zip(p.tolist(), q.tolist(), scores.tolist())
 
     def same_bits(self, other: "SimilarityMatrix") -> bool:
         """True when every pair carries the identical float and N/A bit.
@@ -264,32 +255,35 @@ def _id_text(n: int) -> np.ndarray:
     return text.view(f"V{text.shape[1]}")[:, 0]
 
 
+def _exported(m: SimilarityMatrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the (p, q, score) arrays of the cells the matrix CSV holds, p <= q
+    and score > 0 (so never an N/A pair), in row-major order: one block of
+    rows at a time, of about :data:`_SCAN` cells and at least one row."""
+    r0 = 0
+    while r0 < m.n:
+        r1 = min(m.n, r0 + max(1, _SCAN // (m.n - r0)))
+        block = m._scores[r0:r1, r0:]  # (p, p) is on the block's diagonal
+        exported = block > 0.0
+        exported[:, :r1 - r0] = np.triu(exported[:, :r1 - r0])
+        p, q = np.nonzero(exported)
+        yield p + r0, q + r0, block[exported]
+        r0 = r1
+
+
 def write_matrix_csv(m: SimilarityMatrix, path):
     """Write `p,q,score` rows (p <= q, score > 0, N/A omitted), the score
-    as ``SCORE_FORMAT % score``, at most :data:`_CHUNK` lines per write,
-    each line's fixed columns with their NULs dropped."""
+    as ``SCORE_FORMAT % score``: one write per :func:`_exported` block, each
+    line's fixed columns with their NULs dropped."""
     ids = _id_text(m.n)
     start = 2 * ids.itemsize  # the score's first column in a line
     with open(path, "wb") as fh:
         fh.write(b"p,q,score\n")
-        r0 = 0
-        while r0 < m.n:
-            r1 = min(m.n, r0 + max(1, _SCAN // (m.n - r0)))
-            # the exported cells of rows r0:r1, p <= q, in row-major order
-            block = m._scores[r0:r1, r0:]  # (p, p) is on the block's diagonal
-            exported = block > 0.0
-            exported[:, :r1 - r0] = np.triu(exported[:, :r1 - r0])
-            scores = block[exported]
-            pairs = ids[np.column_stack(np.nonzero(exported)) + r0]
-            pairs = pairs.view(np.uint8).reshape(scores.size, start)
-            for lo in range(0, scores.size, _CHUNK):
-                chunk = scores[lo:lo + _CHUNK]
-                line = np.empty((chunk.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
-                line[:, :start] = pairs[lo:lo + _CHUNK]
-                _score_text(chunk, line[:, start:])
-                # a line is its bytes with every NUL dropped
-                fh.write(line[line != 0].tobytes())
-            r0 = r1
+        for p, q, scores in _exported(m):
+            line = np.empty((scores.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
+            line[:, :start] = ids[np.column_stack((p, q))].view(np.uint8)
+            _score_text(scores, line[:, start:])
+            # a line is its bytes with every NUL dropped
+            fh.write(line[line != 0].tobytes())
 
 
 def read_matrix_csv(path) -> np.ndarray:

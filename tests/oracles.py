@@ -363,7 +363,8 @@ def compare_rows_reference(m, rows, source):
     """(missing, unexpected, mismatched) sorted pair lists of compare_rows,
     one row at a time: DataError at the first row outside 0 <= p <= q < n
     or repeating an earlier pair."""
-    expected = {(p, q): s for p, q, s in m.entries_above()}
+    expected = {(p, q): m.get(p, q) for p in range(m.n) for q in range(p, m.n)
+                if not m.is_na(p, q) and m.get(p, q) > 0.0}
     actual = {}
     for p, q, s in rows:
         if not (0 <= p <= q < m.n):

@@ -344,6 +344,27 @@ def test_histogram_conserves_pairs_on_computed_matrices(shared_graph):
     assert score_histogram(m).na == 17
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+def test_histogram_matches_a_pair_by_pair_reference(n, seed):
+    # scores exactly at k/10 and at 1.0 sit on bucket edges, next to
+    # scores drawn between them; some pairs are N/A
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < 0.5, rng.integers(0, 11, size=(n, n)) / 10.0,
+                 rng.random((n, n)))
+    na = np.triu(rng.random((n, n)) < 0.2, 1)
+    m = SimilarityMatrix.from_square(np.triu(a) + np.triu(a, 1).T, na | na.T)
+    buckets, na_pairs = [0] * 10, 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            if m.is_na(p, q):
+                na_pairs += 1
+            else:
+                buckets[sum(m.get(p, q) >= k / 10 for k in range(1, 10))] += 1
+    h = score_histogram(m)
+    assert h == Histogram(tuple(buckets), na_pairs, n * (n - 1) // 2)
+
+
 def test_bucket_labels():
     assert BUCKET_LABELS[0] == "[0.0,0.1)"
     assert BUCKET_LABELS[9] == "[0.9,1.0]"
@@ -398,8 +419,8 @@ def test_mean_top_keeps_the_full_sort_bits(n, seed, kind):
     a = rng.integers(0, 5, size=(n, n)) / 4.0 if kind == "ties" else rng.random((n, n)) ** 3
     square = np.triu(a) + np.triu(a, 1).T
     na = np.triu(rng.random((n, n)) < 0.2, 1)
-    scores, na_pairs = SimilarityMatrix.from_square(square, na | na.T).offdiag_packed()
-    vals = scores[~na_pairs]
+    m = SimilarityMatrix.from_square(square, na | na.T)
+    vals = m.dense_scores()[np.triu(~m.dense_na(), 1)]
     got, want = _mean_top(vals, 10), _full_sort_mean(vals, 10)
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     assert got[1] == want[1]

@@ -126,19 +126,6 @@ def test_row_views_match_elementwise():
             assert flags[q] == m.is_na(p, q)
 
 
-def test_offdiag_packed_shape_and_content():
-    square = np.eye(5)
-    square[0, 3] = 0.4
-    na = np.zeros((5, 5), dtype=bool)
-    na[2, 4] = True
-    m = SimilarityMatrix.from_square(square, na=na)
-    scores, na = m.offdiag_packed()
-    assert scores.shape == (10,)
-    assert na.sum() == 1
-    assert scores.max() == 0.4
-    assert m.na_count() == 1
-
-
 def test_entries_above_skips_na_and_zero():
     square = np.eye(4)
     square[0, 1:3] = 0.5, 0.05

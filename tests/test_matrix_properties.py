@@ -51,19 +51,21 @@ def test_csv_bytes_match_the_per_row_reference(tmp_path_factory, sq):
 
 
 @settings(max_examples=40, deadline=None)
-@given(squares(max_n=30), st.sampled_from([1, 5, 40, 200]), st.sampled_from([1, 3, 64]))
-def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path_factory, sq, scan, chunk):
-    # small row blocks and chunks: one-row blocks, wider than _SCAN, and
-    # chunks that split a block
+@given(squares(max_n=30), st.sampled_from([1, 5, 40, 200]))
+def test_csv_bytes_do_not_depend_on_the_block_sizes(tmp_path_factory, sq, scan):
+    # small row blocks: one-row blocks, wider than _SCAN, and blocks of a
+    # few rows; entries_above reads the same blocks
     square, na = sq
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     m = SimilarityMatrix.from_square(square, na=na)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix, "_SCAN", scan)
-        patch.setattr(matrix, "_CHUNK", chunk)
         write_matrix_csv(m, path)
+        entries = list(m.entries_above())
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == oracles.matrix_csv_reference(m)
+    assert entries == [(p, q, m.get(p, q)) for p in range(m.n) for q in range(p, m.n)
+                       if not m.is_na(p, q) and m.get(p, q) > 0.0]
 
 
 def _float(bits):
