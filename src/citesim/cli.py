@@ -29,7 +29,10 @@ command that writes a CSV writes the summary beside it as
 can be reproduced from its outputs alone.
 Both are written to temporary files beside them and renamed into place,
 the CSV first, once both are complete: a run that fails leaves no output,
-or the previous run's, never a part of one.
+or the previous run's, never a part of one.  So an output is replaced,
+never written through, and before the graph is read each is refused when
+it exists and is not a regular file (a symlink, a FIFO, a device) or when
+its directory is missing or not writable.
 `validate` prints the summary instead.  Without a measure it checks and
 summarizes the graph; with a measure plus --out it checks the named CSV
 against the computed matrix pair by pair: every exported pair present
@@ -61,6 +64,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from itertools import islice
@@ -218,6 +222,22 @@ def _write_topk(g, entries, path):
          g.meta[e.paper].title] for rank, e in enumerate(entries, start=1)))
 
 
+def _check_outputs(paths):
+    """Refuse, with a ConfigError naming it, an output path that exists and
+    is not a regular file, or whose directory is missing or not writable:
+    :func:`_replacing` would replace the first, and fail on the second only
+    when the work is done."""
+    for path in paths:
+        with suppress(FileNotFoundError, NotADirectoryError):
+            if not stat.S_ISREG(os.lstat(path).st_mode):
+                raise ConfigError(f"output {path} exists and is not a regular file")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory {directory} does not exist")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ConfigError(f"output directory {directory} is not writable")
+
+
 @contextmanager
 def _replacing(*paths):
     """Yield a temporary path beside each of ``paths``; when the block ends,
@@ -241,6 +261,11 @@ def _dispatch(spec: argparse.Namespace) -> int:
         raise ConfigError(evaluate.UNBOUNDED_HISTOGRAM)
     if spec.command == "trace":
         require_iterative(cfg)
+    if spec.command != "validate":
+        outputs = [spec.out, f"{spec.out}.summary.json"]
+    else:  # with a measure, --out names the CSV to check
+        outputs = [spec.out] if spec.out and spec.measure is None else []
+    _check_outputs(outputs)
     g, load_report = load_graph_files(spec.graph, spec.meta)
     summary = {
         "command": spec.command,
@@ -253,7 +278,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
         text = json.dumps(summary, indent=2, sort_keys=True)
         print(text)
         if spec.out:
-            with _replacing(spec.out) as [out], open(out, "w", encoding="utf-8") as fh:
+            with _replacing(*outputs) as [out], open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         return 0
 
@@ -264,7 +289,7 @@ def _dispatch(spec: argparse.Namespace) -> int:
     if spec.command == "validate":
         return _verify_matrix(compute(g, cfg, spec.threads)[0], spec.out, summary)
 
-    with _replacing(spec.out, f"{spec.out}.summary.json") as [out, summary_out]:
+    with _replacing(*outputs) as [out, summary_out]:
         if spec.command == "eval":
             corpus, corpus_report = evaluate.load_corpus(spec.corpus, g)
             table = evaluate.run_benchmark(g, corpus, spec.configs, spec.m_values, spec.threads)

@@ -117,8 +117,8 @@ def paper_id(p, n: int) -> PaperId:
 
 
 def _endpoints(edge, n: int) -> tuple[int, int]:
-    """An edge's two endpoints as integers, one beyond int64 clamped to -1
-    or n (out of range)."""
+    """An edge's two endpoints as integers, each clamped to [-1, n]: one
+    out of range stays out of range, and one beyond int64 fits an int64."""
     pair = not isinstance(edge, (Set, Mapping))  # no citing end, only an order
     try:
         u, v = edge
@@ -190,20 +190,13 @@ class CitationGraph:
         breaks a rule.  Every endpoint must be an integer
         (``operator.index``): a float or a string raises TypeError, and a
         bool reads as 0 or 1.  The constructor supplies the default ``meta``
-        and checks its length.
+        and checks its length.  Each entry is read on its own, in Python, so
+        a large array of ids is better handed to the constructor as keys.
         """
         if n < 0:  # before the edges, so that a negative count is named first
             raise ValueError("node count must be non-negative")
         pairs = list(edges)
-        try:
-            uv = np.array(pairs)
-        except ValueError:  # entries of unequal lengths
-            uv = None
-        if uv is None or uv.dtype != np.int64 or uv.shape[1:] != (2,):
-            # no edges, entries that are not pairs, or endpoints numpy does
-            # not read as int64: read each entry as two integers
-            uv = np.array([_endpoints(pair, n) for pair in pairs], dtype=np.int64)
-        u, v = uv.reshape(-1, 2).T
+        u, v = np.array([_endpoints(pair, n) for pair in pairs], dtype=np.int64).reshape(-1, 2).T
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad = outside | (u == v)
         kept = np.flatnonzero(~bad)

@@ -16,8 +16,11 @@ store's own rows, uncopied.
 
 The matrix CSV holds each score as ``SCORE_FORMAT % score`` (``%.17g``).
 Its cells are read by one scan, :func:`_exported`, in row blocks of about
-:data:`_SCAN` cells, and :func:`write_matrix_csv` formats each block's
-scores with numpy, one uint8 line matrix and one write per block.
+:data:`_SCAN` cells, and :func:`write_matrix_csv` formats their scores with
+numpy, one uint8 line matrix and one write per batch of consecutive
+blocks that holds ``_SCAN // 2`` scores, or the rest of the matrix.  A dense
+block is a batch of its own; a sparse matrix's blocks are joined, since
+formatting a batch has a fixed cost of about 0.17 ms.
 Every positive normal score in [1e-10, 2**53) is formatted by exact integer
 arithmetic:
 v = M * 2**E is scaled to the 17-digit quotient M * 5**(16-X) * 2**(E+16-X),
@@ -272,13 +275,21 @@ def _exported(m: SimilarityMatrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.
 
 def write_matrix_csv(m: SimilarityMatrix, path):
     """Write `p,q,score` rows (p <= q, score > 0, N/A omitted), the score
-    as ``SCORE_FORMAT % score``: one write per :func:`_exported` block, each
-    line's fixed columns with their NULs dropped."""
+    as ``SCORE_FORMAT % score``, each line's fixed columns with their NULs
+    dropped.  Consecutive :func:`_exported` blocks are joined until they
+    hold ``_SCAN // 2`` scores or the matrix ends, and each such batch is
+    formatted and written at once: a dense block is a batch of its own."""
     ids = _id_text(m.n)
     start = 2 * ids.itemsize  # the score's first column in a line
+    blocks = _exported(m)
     with open(path, "wb") as fh:
         fh.write(b"p,q,score\n")
-        for p, q, scores in _exported(m):
+        for block in blocks:
+            batch, held = [block], block[2].size
+            while held < _SCAN // 2 and (block := next(blocks, None)) is not None:
+                batch.append(block)
+                held += block[2].size
+            p, q, scores = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
             line = np.empty((scores.size, start + _SCORE_WIDTH + 1), dtype=np.uint8)
             line[:, :start] = ids[np.column_stack((p, q))].view(np.uint8)
             _score_text(scores, line[:, start:])

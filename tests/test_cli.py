@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -562,6 +563,70 @@ def test_topk_rejects_an_unknown_query_before_computing(shared_files, tmp_path, 
     assert calls == []
     assert capsys.readouterr().err == "citesim: error: unknown paper id 'zz'\n"
     assert not out.exists() and not (tmp_path / "top.csv.summary.json").exists()
+
+
+_WRITING_COMMANDS = {  # each command's flags besides --graph, --meta and --out
+    "compute": ["--measure", "crank"],
+    "topk": ["--measure", "crank", "--query", "a"],
+    "eval": ["--corpus", "fields.txt"],
+    "histogram": ["--measure", "crank"],
+    "trace": ["--measure", "crank"],
+    "cases": ["--pairs", "pairs.tsv"],
+    "validate": [],
+}
+
+
+def _listing(root):
+    """Every path under ``root`` with its kind and, for a link, its target
+    and, for a file, its bytes."""
+    return {path: (stat.S_IFMT(os.lstat(path).st_mode),
+                   os.readlink(path) if path.is_symlink() else
+                   path.read_bytes() if path.is_file() else None)
+            for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("kind, command", [
+    (kind, command) for kind in ("fifo", "symlink", "summary symlink", "missing directory",
+                                 "unwritable directory")
+    for command in _WRITING_COMMANDS
+    if (kind, command) != ("summary symlink", "validate")])  # validate writes no summary
+def test_an_output_that_cannot_be_replaced_exits_1_before_the_work(shared_files, tmp_path,
+                                                                    capsys, monkeypatch,
+                                                                    kind, command):
+    # a rename would replace a FIFO or a link with a regular file, and a
+    # missing or unwritable directory would fail only after the compute
+    edge, meta = shared_files
+    calls = []
+    monkeypatch.setattr(cli, "load_graph_files", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "compute", lambda *args: calls.append(args))
+    root = tmp_path / "outputs"
+    root.mkdir()
+    target = root / "target.csv"
+    target.write_bytes(b"kept\n")
+    out = root / "out.csv"
+    if kind == "fifo":
+        os.mkfifo(out)
+        message = f"output {out} exists and is not a regular file"
+    elif kind == "symlink":
+        out.symlink_to(target)
+        message = f"output {out} exists and is not a regular file"
+    elif kind == "summary symlink":
+        summary = root / "out.csv.summary.json"
+        summary.symlink_to(target)
+        message = f"output {summary} exists and is not a regular file"
+    elif kind == "missing directory":
+        out = root / "absent" / "out.csv"
+        message = f"output directory {root / 'absent'} does not exist"
+    else:  # a mode bit would not stop root, so access() answers as for another user
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(root))
+        message = f"output directory {root} is not writable"
+    before = _listing(root)
+    argv = [command, "--graph", edge, "--meta", meta, *_WRITING_COMMANDS[command],
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"citesim: error: {message}\n"
+    assert calls == []
+    assert _listing(root) == before
 
 
 def test_undecodable_input_exits_2(shared_files, tmp_path, capsys):

@@ -163,16 +163,32 @@ def test_loader_matches_a_set_reference(edges, meta_ids):
     assert g.stats() == expected
 
 
+def _edge_lists(endpoints):
+    return st.lists(st.tuples(endpoints, endpoints), max_size=12)
+
+
+# caller pairs as Python ints (some beyond int64), an int64 (k, 2) array,
+# tuples of np.int64, and ints mixed with bools
+_SMALL = st.integers(-2, 7)
+_CALLER_EDGES = st.one_of(
+    _edge_lists(_SMALL | st.sampled_from([2**63, 2**70, -(2**63) - 1])),
+    _edge_lists(_SMALL).map(lambda edges: np.array(edges, dtype=np.int64).reshape(-1, 2)),
+    _edge_lists(_SMALL.map(np.int64)),
+    _edge_lists(_SMALL | st.booleans()),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 6),
-       edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=12))
+@given(n=st.integers(0, 6), edges=_CALLER_EDGES)
 @example(n=3, edges=[(0, 1), (1, 0), (2, 2**70)])  # beyond int64: out of range
 @example(n=3, edges=[(0, 0), (-(2**70), 1)])
 @example(n=3, edges=[(0, 1), (1, 2), (0, 1), (0, 0)])
+@example(n=3, edges=np.array([[0, 1], [2, 2**62], [1, 2]]))
+@example(n=3, edges=[(np.int64(1), np.int64(2)), (True, 2)])
 def test_from_edges_rejects_the_first_bad_edge_as_a_set_loop_does(n, edges):
     message = oracles.reference_from_edges_error(n, edges)
     if message is None:
-        assert CitationGraph.from_edges(n, edges).edges == set(edges)
+        assert CitationGraph.from_edges(n, edges).edges == set(map(tuple, edges))
     else:
         with pytest.raises(DataError) as exc:
             CitationGraph.from_edges(n, edges)

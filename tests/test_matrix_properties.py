@@ -124,6 +124,24 @@ def test_csv_write_peak_memory_in_squares(tmp_path):
     assert peak / (8 * n * n) <= 1.5
 
 
+def test_sparse_blocks_share_a_score_text_call(tmp_path, monkeypatch):
+    # a cocitation square of a sparse graph: 24 row blocks of about 320
+    # scores each, joined until they hold _SCAN // 2 scores, so 2 calls
+    n = 600
+    m, _ = compute(fixtures.random_graph(n, 5 / n, 1), MeasureConfig("cocitation", "jaccard"))
+    batches = []
+    for _, _, scores in matrix._exported(m):
+        if not batches or batches[-1] >= matrix._SCAN // 2:
+            batches.append(0)
+        batches[-1] += scores.size
+    calls = []
+    score_text = matrix._score_text
+    monkeypatch.setattr(matrix, "_score_text",
+                        lambda v, text: (calls.append(v.size), score_text(v, text)))
+    write_matrix_csv(m, tmp_path / "m.csv")
+    assert calls == batches and len(calls) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(squares(max_n=40), st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=45),
        st.booleans(), st.data())
